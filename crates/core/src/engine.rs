@@ -1414,7 +1414,54 @@ impl ProductionSystem {
         class: Symbol,
         slots: Vec<(Symbol, Value)>,
     ) -> Result<TimeTag, CoreError> {
-        let pre_mark = self.wm.tag_mark();
+        let undo = self.api_undo_mark();
+        let wme = self.insert_api_wme(class, slots)?;
+        self.commit_api_asserts(std::slice::from_ref(&wme), undo)?;
+        Ok(wme.tag)
+    }
+
+    /// Assert a batch of WMEs all-or-nothing, logged under a single WAL
+    /// commit. Tags are allocated in order, exactly as the same facts
+    /// asserted one by one would get them. On any failure — a schema error
+    /// at fact *i*, a WAL append fault, or supervisor retries running out —
+    /// every fact of the batch is undone (working memory, match network,
+    /// tag allocator, pending log buffer), so the engine is left as if the
+    /// batch had never been sent.
+    pub fn assert_batch(
+        &mut self,
+        facts: Vec<(Symbol, Vec<(Symbol, Value)>)>,
+    ) -> Result<Vec<TimeTag>, CoreError> {
+        let undo = self.api_undo_mark();
+        let mut wmes: Vec<Wme> = Vec::with_capacity(facts.len());
+        for (class, slots) in facts {
+            match self.insert_api_wme(class, slots) {
+                Ok(wme) => wmes.push(wme),
+                Err(e) => {
+                    self.undo_api_asserts(&wmes, undo);
+                    return Err(e);
+                }
+            }
+        }
+        self.commit_api_asserts(&wmes, undo)?;
+        Ok(wmes.iter().map(|w| w.tag).collect())
+    }
+
+    /// Where an API-level assert's undo rolls back to: the tag allocator
+    /// and the length of the pending log buffer.
+    fn api_undo_mark(&self) -> (u64, usize) {
+        (
+            self.wm.tag_mark(),
+            self.dur.as_ref().map_or(0, |d| d.pending.len()),
+        )
+    }
+
+    /// Allocate, buffer for the log, and match one WME, without committing
+    /// it (the callers commit or undo).
+    fn insert_api_wme(
+        &mut self,
+        class: Symbol,
+        slots: Vec<(Symbol, Value)>,
+    ) -> Result<Wme, CoreError> {
         let wme = self.wm.make(class, slots)?;
         if let Some(dur) = &mut self.dur {
             dur.pending.push(WmeOp::Assert(wme.clone()));
@@ -1425,27 +1472,43 @@ impl ProductionSystem {
             tag: wme.tag,
             wme: render_wme(&wme),
         });
-        if let Some(m) = &mut self.metrics {
-            m.wm_asserts += 1;
-        }
         let t = self.metrics.is_some().then(Instant::now);
         let sp = self.spans.begin_scope();
         self.matcher.insert_wme(&wme);
         self.sync();
         self.spans.end(sp, span_cat::MATCH, 0, Vec::new);
         self.note_match_time(t);
+        Ok(wme)
+    }
+
+    /// Commit asserted WMEs under one log commit (a no-op inside a
+    /// firing), counting them only once they stick. If the log refuses
+    /// them, undo them so live state never runs ahead of durable state — an
+    /// unlogged WME would survive in memory but vanish on recovery.
+    fn commit_api_asserts(&mut self, wmes: &[Wme], undo: (u64, usize)) -> Result<(), CoreError> {
         if let Err(e) = self.wal_commit_if_api() {
-            // The log refused the op: undo the assert (WME, match network,
-            // tag allocator) so live state never runs ahead of durable
-            // state — an unlogged WME would survive in memory but vanish
-            // on recovery.
-            let _ = self.wm.remove(wme.tag);
-            self.matcher.remove_wme(&wme);
-            self.sync();
-            self.wm.reset_tag_mark(pre_mark);
+            self.undo_api_asserts(wmes, undo);
             return Err(e);
         }
-        Ok(wme.tag)
+        if let Some(m) = &mut self.metrics {
+            m.wm_asserts += wmes.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Undo uncommitted API-level asserts: remove them from working memory
+    /// and the match network (newest first), release their tags, and drop
+    /// their buffered log ops.
+    fn undo_api_asserts(&mut self, wmes: &[Wme], (tag_mark, pending_len): (u64, usize)) {
+        for wme in wmes.iter().rev() {
+            let _ = self.wm.remove(wme.tag);
+            self.matcher.remove_wme(wme);
+        }
+        self.sync();
+        self.wm.reset_tag_mark(tag_mark);
+        if let Some(dur) = &mut self.dur {
+            dur.pending.truncate(pending_len);
+        }
     }
 
     /// Retract a WME.

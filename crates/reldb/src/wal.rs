@@ -52,14 +52,23 @@
 //! point (no committed work is ever lost); `n > 1` syncs every `n` commit
 //! points, trading a bounded window of recent commits for fewer fsyncs —
 //! the classic group-commit throughput lever measured by the
-//! `wal_overhead` bench.
+//! `wal_overhead` bench. A client that acknowledges work itself can open
+//! the window past any request and call [`Wal::sync`] right before each
+//! acknowledgement: the acknowledgement becomes the durability point, a
+//! request costs one fsync however many commit points it appended, and a
+//! crash mid-request loses only work that was never acknowledged
+//! (`sorete-server` sessions run this way).
 //!
 //! Appends are buffered in memory and hit the file as **one**
 //! `write(2)` when the group-commit window closes (or at an explicit
 //! [`Wal::sync`], rotation, or drop), so a window of `n` commits costs
-//! one write syscall plus one fsync instead of one write per record.
-//! The buffer never widens the loss window: everything the group-commit
-//! policy promised durable has been both written *and* fsynced.
+//! one write syscall plus one fsync instead of one write per record. A
+//! commit point also hands the buffer to the OS (without an fsync) once it
+//! passes a fixed size, which bounds memory under a wide window. The
+//! buffer never widens the loss window: everything the group-commit
+//! policy promised durable has been both written *and* fsynced. A sync
+//! with nothing new written or truncated since the last fsync issues no
+//! fsync at all.
 
 use crate::error::DbError;
 use sorete_base::{Symbol, TimeTag, Value, Wme};
@@ -75,6 +84,11 @@ const HEADER_LEN: usize = WAL_MAGIC.len() + 8;
 /// Largest accepted record body (kind + payload); anything bigger is
 /// treated as a corrupt length prefix during recovery.
 const MAX_RECORD: u32 = 1 << 30;
+
+/// Buffered bytes past which a commit point hands the buffer to the OS
+/// (one `write(2)`, no fsync) even though the group-commit window is still
+/// open — bounds memory under a wide window such as a long `run`.
+const FLUSH_BYTES: usize = 1 << 20;
 
 const KIND_OP: u8 = 1;
 const KIND_COMMIT: u8 = 2;
@@ -172,8 +186,9 @@ pub enum IoFaultKind {
     /// The whole frame reaches the file but with a flipped payload byte
     /// (a torn sector), then the "machine dies".
     TornWrite,
-    /// The append succeeds but the next fsync fails and the WAL poisons
-    /// itself (a dying disk acknowledging writes it cannot persist).
+    /// The append succeeds but the next fsync fails: the log cuts the file
+    /// back to its last successful fsync and poisons itself (a dying disk
+    /// acknowledging writes it cannot persist).
     FsyncError,
     /// A *transient* clean failure: the first `fail_n` appends at or after
     /// [`IoFaultPlan::at`] fail exactly like [`IoFaultKind::Fail`] (batch
@@ -335,6 +350,12 @@ pub struct Wal {
     /// Physical file length: everything at or below this offset has been
     /// handed to the OS (though not necessarily fsynced).
     flushed: u64,
+    /// File length at the last successful fsync: where a failed fsync cuts
+    /// the file back to.
+    synced: u64,
+    /// Bytes written or truncated since the last fsync? A sync with
+    /// nothing new to persist skips `sync_data`.
+    dirty: bool,
     /// Frames appended but not yet written to the file. Flushed as one
     /// `write(2)` when the group-commit window closes (see module docs).
     buf: Vec<u8>,
@@ -583,6 +604,9 @@ impl Wal {
                 end,
                 tail_base: end,
                 flushed: end,
+                synced: end,
+                // Recovery's tail truncation has not been fsynced yet.
+                dirty: rec_stats.truncated_bytes > 0,
                 buf: Vec::new(),
                 fault: None,
                 transient_spent: 0,
@@ -654,16 +678,22 @@ impl Wal {
         self.unsynced_commits += 1;
         if self.unsynced_commits >= self.opts.group_commit.max(1) {
             self.sync()?;
+        } else if self.buf.len() >= FLUSH_BYTES {
+            self.flush()?;
         }
         Ok(())
     }
 
-    /// Flush and fsync now, regardless of the group-commit window.
+    /// Flush and fsync now, regardless of the group-commit window. When no
+    /// byte was written or truncated since the last fsync there is nothing
+    /// to persist and no fsync is issued.
     ///
     /// A *real* fsync failure poisons the log: after `EIO` the kernel may
     /// have dropped the dirty pages, so the in-memory picture of what is
     /// durable can no longer be trusted — only reopening (which re-runs
-    /// recovery against the file itself) re-establishes it.
+    /// recovery against the file itself) re-establishes it. The file is
+    /// first cut back to its last successful fsync: nothing past it was
+    /// ever reported durable, so recovery must not adopt it either.
     pub fn sync(&mut self) -> Result<(), DbError> {
         let sp = self.spans.begin();
         let r = self.sync_inner();
@@ -679,16 +709,28 @@ impl Wal {
         self.flush()?;
         if self.fsync_fault_armed {
             self.fsync_fault_armed = false;
-            self.poisoned = true;
+            self.fail_sync();
             return Err(DbError::Io("injected fsync failure".into()));
         }
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(DbError::Io(format!("fsync wal {:?}: {}", self.path, e)));
+        if self.dirty {
+            if let Err(e) = self.file.sync_data() {
+                self.fail_sync();
+                return Err(DbError::Io(format!("fsync wal {:?}: {}", self.path, e)));
+            }
+            self.stats.fsyncs += 1;
+            self.dirty = false;
+            self.synced = self.flushed;
         }
-        self.stats.fsyncs += 1;
         self.unsynced_commits = 0;
         Ok(())
+    }
+
+    /// Retire the handle after a failed fsync, cutting the file back to
+    /// the last fsynced length (best effort: the handle is poisoned either
+    /// way).
+    fn fail_sync(&mut self) {
+        self.poisoned = true;
+        let _ = self.file.set_len(self.synced);
     }
 
     /// Hand the buffered frames to the OS as a single `write(2)`. On a
@@ -724,6 +766,7 @@ impl Wal {
         }
         self.flushed += self.buf.len() as u64;
         self.buf.clear();
+        self.dirty = true;
         self.stats.writes += 1;
         Ok(())
     }
@@ -755,6 +798,8 @@ impl Wal {
                 self.end = HEADER_LEN as u64;
                 self.tail_base = self.end;
                 self.flushed = self.end;
+                self.synced = self.end;
+                self.dirty = false;
                 self.stats.fsyncs += 1;
                 self.unsynced_commits = 0;
                 Ok(())
@@ -788,9 +833,11 @@ impl Wal {
         self.buf.clear();
         let ok = self.file.set_len(self.tail_base).is_ok()
             && self.file.seek(SeekFrom::Start(self.tail_base)).is_ok();
+        self.dirty = true;
         if ok {
             self.end = self.tail_base;
             self.flushed = self.tail_base;
+            self.synced = self.synced.min(self.tail_base);
         } else {
             // Couldn't even truncate: the orphan bytes stay, so the handle
             // must never append a marker that would commit them.
@@ -1159,6 +1206,98 @@ mod tests {
         drop(w8);
         let (records, _) = Wal::recover(&p8).unwrap();
         assert_eq!(records.len(), 34, "clean drop flushes the open window");
+    }
+
+    /// A window wider than any test appends: only explicit syncs fsync.
+    const WIDE: WalOptions = WalOptions {
+        group_commit: u32::MAX,
+    };
+
+    #[test]
+    fn sync_with_nothing_new_issues_no_fsync() {
+        let path = tmp("idle-sync");
+        let (mut wal, _) = Wal::open(&path, WIDE).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 0, "a fresh log has nothing to persist");
+        wal.append_op(b"a").unwrap();
+        wal.append_commit().unwrap();
+        wal.append_op(b"b").unwrap();
+        wal.append_commit().unwrap();
+        assert_eq!(wal.stats().fsyncs, 0, "commit points inside the window");
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 1, "one fsync for the whole window");
+        wal.sync().unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 1, "idle syncs skip sync_data");
+        assert_eq!(wal.stats().writes, 1);
+    }
+
+    #[test]
+    fn armed_fsync_fault_fires_and_cuts_back_to_last_fsync() {
+        let path = tmp("fsync-fault");
+        let (mut wal, _) = Wal::open(&path, WIDE).unwrap();
+        wal.append_op(b"acked").unwrap();
+        wal.append_commit().unwrap();
+        wal.sync().unwrap();
+        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::FsyncError, 2));
+        wal.append_op(b"unacked").unwrap();
+        wal.append_commit().unwrap();
+        assert!(wal.sync().is_err(), "the armed fault fires at the sync");
+        assert!(wal.is_poisoned());
+        assert_eq!(wal.stats().fsyncs, 1);
+        drop(wal);
+        let (records, _) = Wal::recover(&path).unwrap();
+        assert_eq!(
+            records,
+            vec![WalRecord::Op(b"acked".to_vec()), WalRecord::Commit],
+            "work past the last good fsync is cut away, not adopted"
+        );
+    }
+
+    #[test]
+    fn commit_points_flush_the_buffer_past_the_size_cap() {
+        let path = tmp("flush-cap");
+        let (mut wal, _) = Wal::open(&path, WIDE).unwrap();
+        let half = vec![b'x'; FLUSH_BYTES / 2];
+        wal.append_op(&half).unwrap();
+        wal.append_commit().unwrap();
+        assert_eq!(wal.stats().writes, 0, "under the cap: still buffered");
+        wal.append_op(&half).unwrap();
+        assert_eq!(wal.stats().writes, 0, "op records never flush");
+        wal.append_commit().unwrap();
+        assert_eq!(wal.stats().writes, 1, "past the cap: handed to the OS");
+        assert_eq!(wal.stats().fsyncs, 0, "a size flush is not an fsync");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            HEADER_LEN as u64 + wal.stats().bytes
+        );
+        wal.sync().unwrap();
+        assert_eq!((wal.stats().writes, wal.stats().fsyncs), (1, 1));
+    }
+
+    #[test]
+    fn abort_tail_cuts_flushed_frames_back_to_the_last_commit_point() {
+        let path = tmp("abort-wide");
+        let (mut wal, _) = Wal::open(&path, WIDE).unwrap();
+        wal.append_op(b"kept").unwrap();
+        wal.append_commit().unwrap();
+        wal.append_op(b"orphan").unwrap();
+        // An explicit sync mid-batch puts the uncommitted frame on disk.
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 1);
+        wal.inject_fault(IoFaultPlan::nth(IoFaultKind::Fail, 3));
+        assert!(wal.append_op(b"doomed").is_err());
+        assert!(!wal.is_poisoned());
+        // The truncation itself is new state: the next sync persists it.
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 2);
+        drop(wal);
+        let (records, stats) = Wal::recover(&path).unwrap();
+        assert_eq!(
+            records,
+            vec![WalRecord::Op(b"kept".to_vec()), WalRecord::Commit]
+        );
+        assert_eq!(stats.truncated_bytes, 0, "the file was already cut back");
     }
 
     #[test]

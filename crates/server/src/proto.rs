@@ -11,6 +11,13 @@
 //! {"op":"query-conflict-set","session":"a"}
 //! ```
 //!
+//! `assert-batch` is all-or-nothing: success answers `count` and the
+//! `tags` in fact order; a failure (`bad-request` for an undecodable fact,
+//! `run-error` for one the engine rejects, `durability` when logging it
+//! failed) applied none of the batch, so the response carries no partial
+//! count and the whole batch may be resent. Mutating ops (`assert-batch`,
+//! `retract`, `run`) answer only after their WAL records are fsynced.
+//!
 //! Success responses are `{"ok":true,...}`; failures are
 //! `{"ok":false,"error":"<code>","message":"..."}` where `<code>` is one of
 //! the stable [`codes`] the caller can branch on. Malformed frames get a

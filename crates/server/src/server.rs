@@ -25,10 +25,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sorete_base::{TimeTag, Value};
-use sorete_core::{GuardViolation, ProductionSystem, StopReason};
+use sorete_core::{CoreError, GuardViolation, ProductionSystem, StopReason};
 use sorete_lang::json::{self, Json};
 
 use crate::proto::{codes, parse_request, Request, Response};
@@ -134,6 +134,9 @@ pub struct Ctx {
     stop: AtomicBool,
     conns: AtomicUsize,
     requests: AtomicU64,
+    /// Raised by the accept loop once shutdown starts; every session's
+    /// engine checks it at firing boundaries.
+    interrupt: Arc<AtomicBool>,
 }
 
 impl Ctx {
@@ -173,6 +176,7 @@ impl Server {
             stop: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
+            interrupt: Arc::new(AtomicBool::new(false)),
             cfg,
         });
         // Restart-time recovery: reattach every session directory found
@@ -260,6 +264,8 @@ impl Server {
             }
             workers.retain(|h| !h.is_finished());
         }
+        // Stop in-flight runs at their next firing boundary.
+        self.ctx.interrupt.store(true, Ordering::SeqCst);
         // Graceful shutdown: stop admitting, let in-flight requests drain
         // (the blocking lock below waits for each one), checkpoint every
         // dirty session. A failed checkpoint is logged and counted, never
@@ -292,17 +298,8 @@ impl Server {
 
 /// Point the engine's interrupt flag at the server's stop state so SIGTERM
 /// stops in-flight runs at a firing boundary.
-fn install_interrupt(ctx: &Arc<Ctx>, ps: &mut ProductionSystem) {
-    let flag = Arc::new(AtomicBool::new(false));
-    ps.set_interrupt(flag.clone());
-    let ctx = ctx.clone();
-    std::thread::spawn(move || loop {
-        if ctx.stopping() {
-            flag.store(true, Ordering::SeqCst);
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    });
+fn install_interrupt(ctx: &Ctx, ps: &mut ProductionSystem) {
+    ps.set_interrupt(ctx.interrupt.clone());
 }
 
 fn handle_connection(stream: TcpStream, ctx: &Arc<Ctx>) -> std::io::Result<()> {
@@ -391,7 +388,11 @@ fn dispatch(req: &Request, ctx: &Arc<Ctx>) -> Response {
 }
 
 /// Resolve the request's session, take its lock (or answer `overloaded`),
-/// run `f`, then publish the fresh byte gauge.
+/// run `f`, then publish the fresh byte gauge. A request answering
+/// `durability` may have left the engine ahead of what the session
+/// acknowledged (say, firings whose final fsync failed), so the session is
+/// recovered from its checkpoint and WAL before the lock is released: no
+/// later request can observe unacknowledged work.
 fn with_session(
     req: &Request,
     ctx: &Arc<Ctx>,
@@ -409,7 +410,22 @@ fn with_session(
         Some(g) => g,
         None => return Response::err(codes::OVERLOADED, &format!("session {:?} is busy", name)),
     };
+    if guard.is_stale() {
+        if let Err(e) = guard.reopen() {
+            return Response::err(e.code, &e.message);
+        }
+        install_interrupt(ctx, &mut guard.ps);
+    }
     let resp = f(req, ctx, &mut guard);
+    if resp.error.as_deref() == Some(codes::DURABILITY) {
+        match guard.reopen() {
+            Ok(()) => install_interrupt(ctx, &mut guard.ps),
+            Err(e) => eprintln!(
+                "; session {}: recovery after a durability failure refused ({}): {}",
+                name, e.code, e.message
+            ),
+        }
+    }
     slot.publish_bytes(&guard);
     resp
 }
@@ -512,35 +528,30 @@ fn op_assert_batch(req: &Request, ctx: &Arc<Ctx>, session: &mut Session) -> Resp
         Some(a) => a,
         None => return Response::err(codes::BAD_REQUEST, "missing \"facts\""),
     };
-    let deadline = deadline_of(req, ctx);
-    let start = Instant::now();
-    let mut tags: Vec<Json> = Vec::with_capacity(facts.len());
+    // Decode every fact before touching the engine, then assert the batch
+    // all-or-nothing: an error leaves the session as if it was never sent,
+    // so a client may retry it whole.
+    let mut decoded = Vec::with_capacity(facts.len());
     for (i, f) in facts.iter().enumerate() {
-        if start.elapsed() >= deadline {
-            // Commit what was asserted, then report the timeout with the
-            // partial count — the client knows exactly how far it got.
-            session.dirty = true;
-            let _ = session.ps.sync_wal();
-            let mut r = Response::err(codes::TIMEOUT, "deadline exceeded mid-batch");
-            r.fields.push(("asserted".into(), Json::Int(i as i64)));
-            return r;
-        }
-        let (class, slots) = match json::fact_from_json(f) {
-            Ok(x) => x,
+        match json::fact_from_json(f) {
+            Ok(x) => decoded.push(x),
             Err(e) => return Response::err(codes::BAD_REQUEST, &format!("facts[{}]: {}", i, e)),
-        };
-        match session.ps.assert_wme(class, slots) {
-            Ok(tag) => tags.push(Json::Int(tag.raw() as i64)),
-            Err(e) => return Response::err(codes::RUN_ERROR, &format!("facts[{}]: {}", i, e)),
         }
     }
+    let tags = match session.ps.assert_batch(decoded) {
+        Ok(tags) => tags,
+        Err(e) => return engine_err(&e),
+    };
     session.dirty = true;
     if let Err(e) = session.ps.sync_wal() {
         return Response::err(codes::DURABILITY, &e.to_string());
     }
     Response::with(vec![
         ("count".into(), Json::Int(tags.len() as i64)),
-        ("tags".into(), Json::Arr(tags)),
+        (
+            "tags".into(),
+            Json::Arr(tags.iter().map(|t| Json::Int(t.raw() as i64)).collect()),
+        ),
     ])
 }
 
@@ -557,8 +568,18 @@ fn op_retract(req: &Request, session: &mut Session) -> Response {
             }
             Response::ok()
         }
-        Err(e) => Response::err(codes::RUN_ERROR, &e.to_string()),
+        Err(e) => engine_err(&e),
     }
+}
+
+/// A refused API-level WM change: the log failing is `durability`, any
+/// other engine error (unknown tag, unknown attribute) is `run-error`.
+fn engine_err(e: &CoreError) -> Response {
+    let code = match e {
+        CoreError::Durability(_) => codes::DURABILITY,
+        _ => codes::RUN_ERROR,
+    };
+    Response::err(code, &e.to_string())
 }
 
 fn op_run(req: &Request, ctx: &Arc<Ctx>, session: &mut Session) -> Response {

@@ -30,6 +30,17 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use sorete_core::{CoreError, MatcherKind, ProductionSystem, SupervisorConfig, WalReplayReport};
 use sorete_reldb::WalOptions;
 
+/// The group-commit window sessions attach their WAL with: wider than any
+/// request, so commit points inside a request never fsync on their own.
+/// The server's response path calls [`ProductionSystem::sync_wal`] before
+/// every acknowledgement of a mutating request, and that one fsync is the
+/// durability point: a request costs one fsync however many facts or
+/// firings it commits (none when it logged nothing), and a crash
+/// mid-request loses only work that was never acknowledged.
+pub const REQUEST_GROUP_COMMIT: WalOptions = WalOptions {
+    group_commit: u32::MAX,
+};
+
 /// A session-level failure, tagged with a protocol error code.
 #[derive(Clone, Debug)]
 pub struct SessionError {
@@ -67,6 +78,9 @@ pub struct Session {
     pub replay: WalReplayReport,
     /// Was state recovered (checkpoint restored or WAL ops replayed)?
     pub recovered: bool,
+    /// A failed [`Session::reopen`] left an empty placeholder engine that
+    /// must not serve requests.
+    stale: bool,
 }
 
 impl Session {
@@ -108,7 +122,7 @@ impl Session {
         }
         let wal_path = dir.join("session.wal");
         let replay = ps
-            .attach_wal(&wal_path, WalOptions::default())
+            .attach_wal(&wal_path, REQUEST_GROUP_COMMIT)
             .map_err(|e| durability_err(&e))?;
         recovered = recovered || replay.replayed_ops > 0;
 
@@ -126,6 +140,7 @@ impl Session {
             dirty: false,
             replay,
             recovered,
+            stale: false,
         })
     }
 
@@ -155,6 +170,26 @@ impl Session {
             .load_program(src)
             .map_err(|e| SessionError::new(crate::proto::codes::BAD_REQUEST, e.to_string()))?;
         Ok(())
+    }
+
+    /// Throw away the live engine and recover the session from its
+    /// checkpoint and WAL, so that after a durability failure nothing the
+    /// session holds in memory is ahead of what it acknowledged.
+    pub fn reopen(&mut self) -> Result<(), SessionError> {
+        // Close the old WAL handle before recovery reads the log. Until
+        // recovery succeeds the placeholder is stale and clean, so neither
+        // a request nor the shutdown checkpoint can touch it.
+        self.ps = ProductionSystem::new(MatcherKind::Rete);
+        self.stale = true;
+        self.dirty = false;
+        let data_dir = self.dir.parent().unwrap_or(Path::new("."));
+        *self = Session::open(data_dir, &self.name)?;
+        Ok(())
+    }
+
+    /// Did the last [`Session::reopen`] fail, leaving no engine to serve?
+    pub fn is_stale(&self) -> bool {
+        self.stale
     }
 
     /// Checkpoint the session (rotating the WAL) and clear the dirty flag.

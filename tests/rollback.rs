@@ -276,6 +276,59 @@ proptest! {
 }
 
 #[test]
+fn assert_batch_is_all_or_nothing_on_every_matcher() {
+    use sorete_base::Symbol;
+    let batch = || -> Vec<(Symbol, Vec<(Symbol, Value)>)> {
+        [("Ann", "A"), ("Bob", "B"), ("Cy", "A")]
+            .iter()
+            .map(|(name, team)| {
+                (
+                    Symbol::new("player"),
+                    vec![
+                        (Symbol::new("name"), Value::sym(name)),
+                        (Symbol::new("team"), Value::sym(team)),
+                    ],
+                )
+            })
+            .collect()
+    };
+    for kind in KINDS {
+        // A schema error anywhere undoes the facts before it.
+        for bad in 0..3 {
+            let mut ps = teams_engine(kind);
+            let before = (snapshot(&ps), ps.checkpoint_string());
+            let mut facts = batch();
+            facts[bad].1.push((Symbol::new("rank"), Value::Int(1)));
+            assert!(ps.assert_batch(facts).is_err());
+            assert_eq!(
+                (snapshot(&ps), ps.checkpoint_string()),
+                before,
+                "{:?}: bad fact {}",
+                kind,
+                bad
+            );
+        }
+        // A clean batch is the same facts asserted one by one.
+        let mut batched = teams_engine(kind);
+        let mut single = teams_engine(kind);
+        let tags = batched.assert_batch(batch()).unwrap();
+        let one_by_one: Vec<_> = batch()
+            .into_iter()
+            .map(|(class, slots)| single.assert_wme(class, slots).unwrap())
+            .collect();
+        assert_eq!(tags, one_by_one, "{:?}", kind);
+        assert_eq!(snapshot(&batched), snapshot(&single), "{:?}", kind);
+        assert_eq!(
+            batched.run(None).fired,
+            single.run(None).fired,
+            "{:?}",
+            kind
+        );
+        assert_eq!(snapshot(&batched), snapshot(&single), "{:?}", kind);
+    }
+}
+
+#[test]
 fn rollback_restores_output_and_halt_flag() {
     // Fault the very last action of the run: everything written by the
     // aborted firing must vanish from the output, and re-running must

@@ -12,7 +12,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sorete::server::{Client, Ctx, NetFaultPlan, Server, ServerConfig, ServerReport};
+use sorete::server::{
+    dispatch_line, Client, Ctx, NetFaultPlan, Server, ServerConfig, ServerReport,
+};
 use sorete_lang::json::Json;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -465,21 +467,32 @@ fn busy_session_gets_overloaded_not_a_queue() {
             Some(true)
         );
     }
-    // Hold the session busy with a long run on one connection…
+    // Hold the session busy with a long run on one connection. The run
+    // itself is answered `overloaded` when it lands while a poll below
+    // holds the session, so it is retried until the session accepts it…
     let addr2 = addr.clone();
     let runner = std::thread::spawn(move || {
         let mut c = Client::connect(&addr2).unwrap();
-        c.request(&req(vec![
-            ("op", Json::Str("run".into())),
-            ("session", Json::Str("busy".into())),
-            ("deadline_ms", Json::Int(600)),
-        ]))
-        .unwrap()
+        loop {
+            let resp = c
+                .request(&req(vec![
+                    ("op", Json::Str("run".into())),
+                    ("session", Json::Str("busy".into())),
+                    ("deadline_ms", Json::Int(600)),
+                ]))
+                .unwrap();
+            if resp.get("error").and_then(|v| v.as_str()) != Some("overloaded") {
+                return resp;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     });
-    // …and poke it from another until backpressure answers.
+    // …and poke it from another until backpressure answers. Once accepted,
+    // the run holds the session for its whole 600 ms deadline, so polling
+    // until the runner has its answer must see `overloaded`.
     let mut saw_overloaded = false;
     let mut b = Client::connect(&addr).unwrap();
-    for _ in 0..100 {
+    while !runner.is_finished() {
         let resp = b
             .request(&req(vec![
                 ("op", Json::Str("query-conflict-set".into())),
@@ -805,4 +818,274 @@ proptest! {
             prop_assert_eq!(&ckpt, &inter_ckpts[i], "session {} checkpoint", name);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Request-scoped durability, driven in process through `dispatch_line`.
+
+/// Bind a server without running its accept loop; requests go straight
+/// to `dispatch_line`.
+fn bind_in_process(dir: &std::path::Path) -> Arc<Ctx> {
+    Server::bind(ServerConfig {
+        data_dir: dir.to_path_buf(),
+        default_deadline_ms: 30_000,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .ctx()
+}
+
+fn call(ctx: &Arc<Ctx>, session: &str, op: &str, mut fields: Vec<(&str, Json)>) -> Json {
+    fields.insert(0, ("session", Json::Str(session.into())));
+    fields.insert(0, ("op", Json::Str(op.into())));
+    sorete_lang::json::parse(&dispatch_line(&req(fields), ctx)).expect("response is JSON")
+}
+
+fn error_of(resp: &Json) -> Option<&str> {
+    resp.get("error").and_then(|v| v.as_str())
+}
+
+/// Open `session` and load the teams program into it.
+fn open_teams(ctx: &Arc<Ctx>, session: &str) {
+    for (op, fields) in [
+        ("open-session", vec![]),
+        (
+            "load-rules",
+            vec![("program", Json::Str(TEAMS_PROG.into()))],
+        ),
+    ] {
+        let resp = call(ctx, session, op, fields);
+        assert_eq!(error_of(&resp), None, "{}: {}", op, resp.render());
+    }
+}
+
+fn wal_fsyncs(ctx: &Arc<Ctx>, session: &str) -> u64 {
+    let slot = ctx.store().get(session).expect("session");
+    let s = slot.lock();
+    s.ps.wal_stats().expect("wal attached").fsyncs
+}
+
+/// Everything a client, the metrics scrape, or a restart could observe
+/// of one session: the conflict-set answer, the assert counter, the WAL
+/// file, and the checkpoint the session would write now.
+fn observe(ctx: &Arc<Ctx>, dir: &std::path::Path, session: &str) -> [String; 4] {
+    let cs = call(ctx, session, "query-conflict-set", vec![]).render();
+    let prom = call(ctx, session, "metrics", vec![]);
+    let asserts = prom
+        .get("prometheus")
+        .and_then(|v| v.as_str())
+        .unwrap()
+        .lines()
+        .find(|l| l.starts_with("sorete_wm_asserts_total "))
+        .unwrap_or("sorete_wm_asserts_total <absent>")
+        .to_string();
+    let wal = std::fs::read(dir.join(session).join("session.wal")).unwrap();
+    let scan = sorete::reldb::Wal::scan(&dir.join(session).join("session.wal")).unwrap();
+    let slot = ctx.store().get(session).unwrap();
+    let ckpt = slot.lock().ps.checkpoint_string();
+    [
+        cs,
+        asserts,
+        format!("{} records, bytes {:?}", scan.committed_records, wal),
+        ckpt,
+    ]
+}
+
+fn players(prefix: &str, n: usize) -> Vec<Json> {
+    (0..n)
+        .map(|i| {
+            player(
+                &format!("{}{}", prefix, i),
+                if i % 2 == 0 { "A" } else { "B" },
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn bad_third_fact_leaves_no_trace_and_the_retry_applies_once() {
+    let dir = temp_dir("batch-probe");
+    let ctx = bind_in_process(&dir);
+    open_teams(&ctx, "probe");
+    let before = observe(&ctx, &dir, "probe");
+    let mut facts = players("p", 2);
+    facts.push(Json::Obj(vec![(
+        "slots".into(),
+        Json::Obj(vec![("name".into(), Json::Str("nobody".into()))]),
+    )]));
+    let resp = call(
+        &ctx,
+        "probe",
+        "assert-batch",
+        vec![("facts", Json::Arr(facts))],
+    );
+    assert_eq!(error_of(&resp), Some("bad-request"), "{}", resp.render());
+    assert!(resp.get("asserted").is_none(), "{}", resp.render());
+    assert_eq!(
+        observe(&ctx, &dir, "probe"),
+        before,
+        "no asserts, no WAL records"
+    );
+    // Retrying the corrected batch applies it exactly once.
+    let resp = call(
+        &ctx,
+        "probe",
+        "assert-batch",
+        vec![("facts", Json::Arr(players("p", 3)))],
+    );
+    assert_eq!(resp.get("count").and_then(|v| v.as_i64()), Some(3));
+    let after = observe(&ctx, &dir, "probe");
+    assert_eq!(after[1], "sorete_wm_asserts_total 3");
+    assert!(after[2].starts_with("4 records"), "{}", after[2]);
+    ctx.request_stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A batch poisoned anywhere — an undecodable fact, an unknown
+    /// attribute, or a storage fault on any of its WAL records — leaves the
+    /// session byte-identical to an oracle session the batch was never sent
+    /// to. A one-shot append fault is absorbed by the supervisor's retry:
+    /// the batch then lands exactly once, as on the oracle.
+    #[test]
+    fn poisoned_batch_is_all_or_nothing(
+        prefix in 0usize..3,
+        n in 1usize..5,
+        at in 0usize..6,
+        kind in 0u8..7,
+    ) {
+        use sorete::reldb::{IoFaultKind, IoFaultPlan};
+        let dir = temp_dir(&format!("atomic-{}-{}-{}-{}", prefix, n, at, kind));
+        let ctx = bind_in_process(&dir);
+        for s in ["poisoned", "oracle"] {
+            open_teams(&ctx, s);
+            if prefix > 0 {
+                let resp = call(&ctx, s, "assert-batch", vec![("facts", Json::Arr(players("pre", prefix)))]);
+                prop_assert_eq!(error_of(&resp), None);
+            }
+        }
+        let mut facts = players("b", n);
+        let want = match kind {
+            0 => {
+                facts[at % n] = Json::Obj(vec![("class".into(), Json::Int(7))]);
+                Some("bad-request")
+            }
+            1 => {
+                facts[at % n] = Json::Obj(vec![
+                    ("class".into(), Json::Str("player".into())),
+                    ("slots".into(), Json::Obj(vec![("rank".into(), Json::Int(1))])),
+                ]);
+                Some("run-error")
+            }
+            _ => {
+                let fault = [
+                    IoFaultKind::Transient { fail_n: u32::MAX },
+                    IoFaultKind::ShortWrite,
+                    IoFaultKind::TornWrite,
+                    IoFaultKind::FsyncError,
+                    IoFaultKind::Fail,
+                ][kind as usize - 2];
+                let slot = ctx.store().get("poisoned").unwrap();
+                let mut s = slot.lock();
+                // The batch appends n op records and one commit marker.
+                let next = s.ps.wal_stats().unwrap().records;
+                s.ps.inject_wal_fault(IoFaultPlan::nth(fault, next + (at % (n + 1)) as u64));
+                if fault == IoFaultKind::Fail {
+                    None
+                } else {
+                    Some("durability")
+                }
+            }
+        };
+        let resp = call(&ctx, "poisoned", "assert-batch", vec![("facts", Json::Arr(facts.clone()))]);
+        prop_assert_eq!(error_of(&resp), want, "{}", resp.render());
+        if want.is_none() {
+            let resp = call(&ctx, "oracle", "assert-batch", vec![("facts", Json::Arr(facts))]);
+            prop_assert_eq!(error_of(&resp), None);
+        }
+        prop_assert_eq!(observe(&ctx, &dir, "poisoned"), observe(&ctx, &dir, "oracle"));
+        ctx.request_stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn one_fsync_per_acknowledged_mutation() {
+    let dir = temp_dir("fsync-count");
+    let ctx = bind_in_process(&dir);
+    open_teams(&ctx, "f");
+    let mut expect = wal_fsyncs(&ctx, "f");
+    // Tags 1, 3 and 5 are A-players that `MoveToB` moves, one per firing.
+    for (op, fields, fsyncs) in [
+        (
+            "assert-batch",
+            vec![("facts", Json::Arr(players("p", 5)))],
+            1,
+        ),
+        ("retract", vec![("tag", Json::Int(2))], 1),
+        ("run", vec![("limit", Json::Int(1))], 1),
+        ("run", vec![], 1), // two firings, still one fsync
+        ("run", vec![], 0), // nothing to fire, nothing to persist
+        ("query-conflict-set", vec![], 0),
+        ("retract", vec![("tag", Json::Int(2))], 0), // already gone
+        (
+            "assert-batch",
+            vec![("facts", Json::Arr(vec![Json::Int(1)]))],
+            0,
+        ),
+    ] {
+        let resp = call(&ctx, "f", op, fields);
+        expect += fsyncs;
+        assert_eq!(wal_fsyncs(&ctx, "f"), expect, "{}: {}", op, resp.render());
+    }
+    ctx.request_stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_fsync_answers_durability_and_rolls_back_to_the_last_ack() {
+    use sorete::reldb::{IoFaultKind, IoFaultPlan};
+    let dir = temp_dir("fsync-failure");
+    let ctx = bind_in_process(&dir);
+    open_teams(&ctx, "d");
+    let resp = call(
+        &ctx,
+        "d",
+        "assert-batch",
+        vec![("facts", Json::Arr(players("p", 5)))],
+    );
+    assert_eq!(error_of(&resp), None);
+    let resp = call(&ctx, "d", "run", vec![("limit", Json::Int(1))]);
+    assert_eq!(resp.get("fired").and_then(|v| v.as_i64()), Some(1));
+    let acked = call(&ctx, "d", "query-conflict-set", vec![]).render();
+
+    {
+        let slot = ctx.store().get("d").unwrap();
+        let mut s = slot.lock();
+        let next = s.ps.wal_stats().unwrap().records;
+        s.ps.inject_wal_fault(IoFaultPlan::nth(IoFaultKind::FsyncError, next));
+    }
+    let resp = call(&ctx, "d", "run", vec![]);
+    assert_eq!(error_of(&resp), Some("durability"), "{}", resp.render());
+    assert_eq!(
+        call(&ctx, "d", "query-conflict-set", vec![]).render(),
+        acked,
+        "the unacknowledged firings are gone"
+    );
+
+    // The session was recovered in place: it serves the same run again.
+    let resp = call(&ctx, "d", "run", vec![]);
+    assert_eq!(error_of(&resp), None, "{}", resp.render());
+    assert_eq!(resp.get("fired").and_then(|v| v.as_i64()), Some(2));
+    let live = call(&ctx, "d", "query-conflict-set", vec![]).render();
+    ctx.request_stop();
+    drop(ctx);
+
+    // A restart recovers exactly the acknowledged state.
+    let ctx = bind_in_process(&dir);
+    assert_eq!(call(&ctx, "d", "query-conflict-set", vec![]).render(), live);
+    ctx.request_stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -62,16 +62,12 @@ impl CycleRecord {
     /// Render as one JSON object (the `cycles.jsonl` schema of a crash
     /// bundle).
     pub fn to_json(&self) -> String {
+        let mut rule = String::new();
+        crate::push_json_string(&mut rule, self.rule.as_str());
         format!(
-            "{{\"cycle\":{},\"rule\":\"{}\",\"ok\":{},\"firings\":{},\
+            "{{\"cycle\":{},\"rule\":{},\"ok\":{},\"firings\":{},\
              \"wm_len\":{},\"cs_len\":{},\"nanos\":{}}}",
-            self.cycle,
-            self.rule.as_str().escape_default(),
-            self.ok,
-            self.firings,
-            self.wm_len,
-            self.cs_len,
-            self.nanos
+            self.cycle, rule, self.ok, self.firings, self.wm_len, self.cs_len, self.nanos
         )
     }
 }
@@ -1006,6 +1002,19 @@ mod tests {
         assert_eq!(f.cycles(), vec![r.clone()]);
         assert!(r.to_json().contains("\"cycle\":7"));
         assert!(r.to_json().contains("\"rule\":\"step\""));
+        // Non-ASCII names stay plain UTF-8 (a `\u{e9}` Rust escape is not
+        // JSON); quotes and backslashes are JSON-escaped.
+        for (name, rendered) in [("café", "\"café\""), ("a\"b\\c", "\"a\\\"b\\\\c\"")] {
+            let r = CycleRecord {
+                rule: Symbol::new(name),
+                ..r.clone()
+            };
+            assert!(
+                r.to_json().contains(&format!("\"rule\":{}", rendered)),
+                "{}",
+                r.to_json()
+            );
+        }
     }
 
     #[test]

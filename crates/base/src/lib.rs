@@ -53,6 +53,30 @@ pub use trace::{
 pub use value::Value;
 pub use wme::{TimeTag, Wme};
 
+/// Append `s` to `out` as a JSON string literal: quoted, with `"`, `\`
+/// and control characters escaped and everything else (non-ASCII
+/// included) copied through. The one escaper behind every JSON the
+/// workspace writes: trace JSONL, metrics snapshots, crash-bundle cycle
+/// records and the server protocol.
+pub fn push_json_string(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Define a `u32`-backed typed index, for use with [`Arena`].
 ///
 /// ```

@@ -25,6 +25,7 @@
 //! hand-rolled JSON object suitable for a JSONL stream.
 
 use crate::hash::FxHashMap;
+use crate::push_json_string;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -498,25 +499,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Append a JSON string literal (quoted, escaped) to `out`.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Cheap cloneable handle to an optional shared registry. The default

@@ -24,6 +24,7 @@
 //! [`NetProfile`]) and the flat self-time accumulator ([`SelfTimer`]) the
 //! Rete and TREAT matchers use to attribute match cost to network nodes.
 
+use crate::push_json_string;
 use crate::symbol::Symbol;
 use crate::wme::TimeTag;
 use std::fmt;
@@ -432,26 +433,6 @@ fn push_rows(s: &mut String, rows: &[Vec<u64>]) {
 
 fn itoa(v: u64) -> String {
     v.to_string()
-}
-
-/// Append `v` as a JSON string literal (quoted, escaped).
-fn push_json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 /// A destination for [`TraceEvent`]s.

@@ -2,7 +2,13 @@
 //! baselines.
 //!
 //! The gate reads the baseline artifacts at the workspace root (or any
-//! `--baseline-dir`), re-runs the suites they describe, and compares:
+//! `--baseline-dir`), re-runs the suites they describe, and compares.
+//! The suites, one baseline file each: `join_index` (J1 hash-join
+//! indexing), `memory` (the M1 live-set curve, `BENCH_metrics.json`),
+//! `overhead` (the overhead matrix of [`crate::overhead`]: WAL, spans,
+//! flight recorder, supervision, trace sinks and metrics on the counting
+//! loop), `parallel` (P1 critical-path speedup) and `server` (the
+//! `sorete-server` load harness). The comparisons:
 //!
 //! - **deterministic counters** (join tests, index probes, WAL record /
 //!   write / fsync counts, curve shape) must match the baseline *exactly* —
@@ -14,27 +20,29 @@
 //! - **timing is gated only as host-independent ratios** — the J1 indexing
 //!   speedup (scan/rete micros, floor), the WAL group-commit amortisation
 //!   multiple (gc1/gc8 micros, floor), the P1 critical-path speedup
-//!   (floor), and the span overhead permilles (absolute budget ceilings).
-//!   Absolute wall micros live in the baselines for reference but are
-//!   never gated: they swing 30–50% with host load and don't transfer
-//!   between machines, while a ratio's numerator and denominator are
-//!   measured back-to-back in the same process and the noise cancels;
-//! - the **span disabled fast path** is held under an absolute ceiling
-//!   (50‰ of a recognise–act cycle) regardless of tolerance;
+//!   (floor), and the overhead matrix's permilles (absolute budget
+//!   ceilings, regardless of tolerance). Absolute wall micros live in the
+//!   baselines for reference but are never gated: they swing 30–50% with
+//!   host load and don't transfer between machines, while a ratio's
+//!   numerator and denominator are measured back-to-back in the same
+//!   process and the noise cancels;
+//! - every **disabled fast path** (tracer, metrics handle, spans, flight
+//!   recorder) is held under the same absolute ceiling, 50‰ of a
+//!   recognise–act cycle;
 //! - the **server load harness** is gated on its error/timeout counters
 //!   (exact, zero) and on the multi/single-session throughput multiple
 //!   (floor) — absolute asserts/sec never transfer between hosts, the
 //!   concurrency multiple does.
 //!
-//! Suites without stable re-runnable metrics are not gated: `profile`
-//! (per-node self-nanos are host timing) and `supervisor` (pure wall
-//! micros, archived but not a claim).
+//! `BENCH_profile.json` is not gated: per-node self-nanos are host timing.
 //!
 //! Exit codes are typed so CI can tell failure modes apart: 0 pass,
 //! 2 usage error, 4 missing baseline file, 5 regression.
 
+use crate::overhead::{self, Bound, Kind};
 use crate::{run_join_index, run_memory_curve, run_parallel_match};
 use sorete_core::MatcherKind;
+use sorete_lang::json::{self, Json};
 use std::path::Path;
 
 /// Everything passed.
@@ -45,253 +53,6 @@ pub const EXIT_USAGE: i32 = 2;
 pub const EXIT_MISSING: i32 = 4;
 /// At least one metric regressed past tolerance.
 pub const EXIT_REGRESSION: i32 = 5;
-
-pub mod json {
-    //! Minimal recursive-descent JSON reader for the baseline artifacts —
-    //! the workspace has no serde, and the `BENCH_*.json` files are small
-    //! and machine-written. Also reused by the CLI tests to schema-check
-    //! the Perfetto trace export.
-
-    /// A parsed JSON value. Numbers collapse to `f64` (every number the
-    /// gate reads fits without precision loss).
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// A string (escapes decoded).
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, in source order.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        /// Number as f64.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        /// Number as u64 (rounds toward zero).
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_f64().map(|n| n as u64)
-        }
-        /// String contents.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        /// Array elements.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parse a complete JSON document; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self, depth: usize) -> Result<Json, String> {
-            if depth > 64 {
-                return Err("nesting too deep".into());
-            }
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(depth),
-                Some(b'[') => self.array(depth),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|&b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number '{}' at byte {}", text, start))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self
-                            .bytes
-                            .get(self.pos)
-                            .ok_or("unterminated escape".to_string())?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("bad \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            other => {
-                                return Err(format!("bad escape '\\{}'", *other as char));
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        // Multi-byte UTF-8 sequences pass through unharmed:
-                        // find the char boundary and copy it whole.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8".to_string())?;
-                        let ch = rest.chars().next().unwrap();
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self, depth: usize) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(self.value(depth + 1)?);
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self, depth: usize) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let val = self.value(depth + 1)?;
-                fields.push((key, val));
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-    }
-}
-
-use json::Json;
 
 /// How a metric is compared against its baseline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -332,6 +93,8 @@ pub struct GateOutcome {
     pub checks: Vec<Check>,
     /// Baseline files that were absent or unparseable.
     pub missing: Vec<String>,
+    /// Allowed regression of ceiling and floor checks, as a fraction.
+    pub tolerance: f64,
 }
 
 impl GateOutcome {
@@ -351,14 +114,13 @@ impl GateOutcome {
         suite: &'static str,
         metric: String,
         kind: CheckKind,
-        tol: f64,
         baseline: f64,
         current: f64,
     ) {
         let pass = match kind {
             CheckKind::Exact => (current - baseline).abs() < f64::EPSILON,
-            CheckKind::Ceiling => current <= baseline * (1.0 + tol),
-            CheckKind::Floor => current >= baseline * (1.0 - tol),
+            CheckKind::Ceiling => current <= baseline * (1.0 + self.tolerance),
+            CheckKind::Floor => current >= baseline * (1.0 - self.tolerance),
             CheckKind::AbsoluteCeiling => current <= baseline,
         };
         self.checks.push(Check {
@@ -405,8 +167,10 @@ fn matcher_from_label(label: &str) -> Option<MatcherKind> {
 /// the gate's cost scales with the committed baseline, not a hardcoded
 /// sweep.
 pub fn run_gate(baseline_dir: &Path, tolerance_pct: u32) -> GateOutcome {
-    let tol = tolerance_pct as f64 / 100.0;
-    let mut out = GateOutcome::default();
+    let mut out = GateOutcome {
+        tolerance: tolerance_pct as f64 / 100.0,
+        ..GateOutcome::default()
+    };
     let load = |name: &str, missing: &mut Vec<String>| -> Option<Json> {
         let path = baseline_dir.join(name);
         match std::fs::read_to_string(&path) {
@@ -425,25 +189,19 @@ pub fn run_gate(baseline_dir: &Path, tolerance_pct: u32) -> GateOutcome {
     };
 
     if let Some(base) = load("BENCH_join_index.json", &mut out.missing) {
-        gate_join_index(&base, tol, &mut out);
+        gate_join_index(&base, &mut out);
     }
     if let Some(base) = load("BENCH_metrics.json", &mut out.missing) {
-        gate_memory(&base, tol, &mut out);
+        gate_memory(&base, &mut out);
     }
-    if let Some(base) = load("BENCH_wal.json", &mut out.missing) {
-        gate_wal(&base, tol, &mut out);
+    if let Some(base) = load("BENCH_overhead.json", &mut out.missing) {
+        gate_overhead(&base, &mut out);
     }
     if let Some(base) = load("BENCH_parallel.json", &mut out.missing) {
-        gate_parallel(&base, tol, &mut out);
-    }
-    if let Some(base) = load("BENCH_span_overhead.json", &mut out.missing) {
-        gate_span(&base, tol, &mut out);
-    }
-    if let Some(base) = load("BENCH_flight_recorder.json", &mut out.missing) {
-        gate_flight(&base, tol, &mut out);
+        gate_parallel(&base, &mut out);
     }
     if let Some(base) = load("BENCH_server.json", &mut out.missing) {
-        gate_server(&base, tol, &mut out);
+        gate_server(&base, &mut out);
     }
     out
 }
@@ -456,7 +214,7 @@ pub fn run_gate(baseline_dir: &Path, tolerance_pct: u32) -> GateOutcome {
 /// concurrent sessions scale instead of serialising behind a global lock.
 /// Absolute asserts/sec and p95 micros live in the baseline for reference
 /// but are never gated.
-fn gate_server(base: &Json, tol: f64, out: &mut GateOutcome) {
+fn gate_server(base: &Json, out: &mut GateOutcome) {
     const SUITE: &str = "server";
     let Some(rows) = base.as_arr() else {
         out.missing
@@ -497,7 +255,6 @@ fn gate_server(base: &Json, tol: f64, out: &mut GateOutcome) {
                     SUITE,
                     format!("{}/{}", config, metric),
                     CheckKind::Exact,
-                    tol,
                     b,
                     current as f64,
                 );
@@ -525,7 +282,6 @@ fn gate_server(base: &Json, tol: f64, out: &mut GateOutcome) {
         SUITE,
         "multi_over_single_throughput".into(),
         CheckKind::Floor,
-        tol,
         (bm / bs).min(SERVER_SCALING_FLOOR_CAP),
         current,
     );
@@ -541,7 +297,7 @@ pub const SERVER_SCALING_FLOOR_CAP: f64 = 2.0;
 /// holds both `rete` and `rete-scan` at the same `n`, the indexing
 /// speedup (scan micros / rete micros) is gated as a floor — the
 /// host-independent form of the J1 timing claim.
-fn gate_join_index(base: &Json, tol: f64, out: &mut GateOutcome) {
+fn gate_join_index(base: &Json, out: &mut GateOutcome) {
     const SUITE: &str = "join_index";
     let Some(rows) = base.as_arr() else {
         out.missing
@@ -579,7 +335,7 @@ fn gate_join_index(base: &Json, tol: f64, out: &mut GateOutcome) {
             ),
         ] {
             if let Some(b) = baseline.and_then(Json::as_f64) {
-                out.push(SUITE, tag(metric), CheckKind::Exact, tol, b, current as f64);
+                out.push(SUITE, tag(metric), CheckKind::Exact, b, current as f64);
             }
         }
         if let Some(b) = row.get("micros").and_then(Json::as_f64) {
@@ -611,7 +367,6 @@ fn gate_join_index(base: &Json, tol: f64, out: &mut GateOutcome) {
             SUITE,
             format!("n={}/index_speedup", n),
             CheckKind::Floor,
-            tol,
             b_scan / b_rete,
             current,
         );
@@ -620,7 +375,7 @@ fn gate_join_index(base: &Json, tol: f64, out: &mut GateOutcome) {
 
 /// M1: the memory curve must keep its exact shape (same sample points)
 /// with live-set bytes no more than tolerance above the baseline.
-fn gate_memory(base: &Json, tol: f64, out: &mut GateOutcome) {
+fn gate_memory(base: &Json, out: &mut GateOutcome) {
     const SUITE: &str = "memory";
     let Some(rows) = base.get("curve").and_then(Json::as_arr) else {
         out.missing
@@ -647,7 +402,6 @@ fn gate_memory(base: &Json, tol: f64, out: &mut GateOutcome) {
         SUITE,
         "curve_points".into(),
         CheckKind::Exact,
-        tol,
         rows.len() as f64,
         points.len() as f64,
     );
@@ -655,14 +409,7 @@ fn gate_memory(base: &Json, tol: f64, out: &mut GateOutcome) {
         let wm = row.get("wm").and_then(Json::as_u64).unwrap_or(0);
         let phase = row.get("phase").and_then(Json::as_str).unwrap_or("?");
         let tag = |m: &str| format!("{}@{}/{}", phase, wm, m);
-        out.push(
-            SUITE,
-            tag("wm"),
-            CheckKind::Exact,
-            tol,
-            wm as f64,
-            p.wm as f64,
-        );
+        out.push(SUITE, tag("wm"), CheckKind::Exact, wm as f64, p.wm as f64);
         for (metric, baseline, current) in [
             ("total_bytes", row.get("total_bytes"), p.total_bytes),
             ("alpha_bytes", row.get("alpha_bytes"), p.alpha_bytes),
@@ -670,129 +417,16 @@ fn gate_memory(base: &Json, tol: f64, out: &mut GateOutcome) {
             ("index_bytes", row.get("index_bytes"), p.index_bytes),
         ] {
             if let Some(b) = baseline.and_then(Json::as_f64) {
-                out.push(
-                    SUITE,
-                    tag(metric),
-                    CheckKind::Ceiling,
-                    tol,
-                    b,
-                    current as f64,
-                );
+                out.push(SUITE, tag(metric), CheckKind::Ceiling, b, current as f64);
             }
         }
     }
-}
-
-/// The WAL counting workload shared by `wal_overhead` and the span bench:
-/// 200 firings, each a `modify` through the durability layer.
-pub const WAL_WORKLOAD: &str = "(literalize c n)
-(literalize lim max)
-(p count (c ^n <n>) (lim ^max > <n>) (modify 1 ^n (<n> + 1)))";
-
-/// Firings in [`WAL_WORKLOAD`].
-pub const WAL_WORKLOAD_FIRINGS: i64 = 200;
-
-fn run_wal_workload(group_commit: u32, wal: Option<&Path>) -> sorete_core::ProductionSystem {
-    use sorete_base::Value;
-    let mut ps = sorete_core::ProductionSystem::new(MatcherKind::Rete);
-    ps.load_program(WAL_WORKLOAD).unwrap();
-    if let Some(path) = wal {
-        let _ = std::fs::remove_file(path);
-        ps.attach_wal(path, sorete_reldb::WalOptions { group_commit })
-            .unwrap();
-    }
-    ps.make_str("c", &[("n", Value::Int(0))]).unwrap();
-    ps.make_str("lim", &[("max", Value::Int(WAL_WORKLOAD_FIRINGS))])
-        .unwrap();
-    let outcome = ps.run(None);
-    assert_eq!(outcome.fired, WAL_WORKLOAD_FIRINGS as u64);
-    ps
-}
-
-/// WAL suite: record/write/fsync counts exact; the group-commit
-/// *amortisation multiple* (fsync-per-cycle micros / group-commit-8
-/// micros) is gated as a floor — the host-independent form of the PR 7
-/// batching claim. Ratios against `no_wal` are deliberately not gated:
-/// fsync latency varies with host state and only appears in the
-/// numerator there, so it cannot cancel.
-fn gate_wal(base: &Json, tol: f64, out: &mut GateOutcome) {
-    const SUITE: &str = "wal";
-    let Some(rows) = base.as_arr() else {
-        out.missing
-            .push("BENCH_wal.json (expected an array)".into());
-        return;
-    };
-    let path = std::env::temp_dir().join(format!("sorete-gate-{}.wal", std::process::id()));
-    let mut base_micros: Vec<(&str, Option<u32>, f64)> = Vec::new();
-    for row in rows {
-        let Some(config) = row.get("config").and_then(Json::as_str) else {
-            out.missing
-                .push("BENCH_wal.json (row missing config)".into());
-            continue;
-        };
-        let wal = match config {
-            "no_wal" => None,
-            "wal" => Some(1u32),
-            "wal_group_8" => Some(8u32),
-            other => {
-                out.missing
-                    .push(format!("BENCH_wal.json (unknown config '{}')", other));
-                continue;
-            }
-        };
-        let tag = |m: &str| format!("{}/{}", config, m);
-        let run_once = || match wal {
-            Some(gc) => run_wal_workload(gc, Some(&path)),
-            None => run_wal_workload(0, None),
-        };
-        let ps = run_once();
-        let stats = ps.wal_stats().unwrap_or_default();
-        for (metric, baseline, current) in [
-            ("records", row.get("records"), stats.records),
-            ("writes", row.get("writes"), stats.writes),
-            ("fsyncs", row.get("fsyncs"), stats.fsyncs),
-        ] {
-            if let Some(b) = baseline.and_then(Json::as_f64) {
-                out.push(SUITE, tag(metric), CheckKind::Exact, tol, b, current as f64);
-            }
-        }
-        if let Some(b) = row.get("micros").and_then(Json::as_f64) {
-            base_micros.push((config, wal, b));
-        }
-    }
-    let micros_for = |config: &str| {
-        base_micros
-            .iter()
-            .find(|(c, _, _)| *c == config)
-            .map(|&(_, _, b)| b)
-    };
-    if let (Some(b_gc1), Some(b_gc8)) = (micros_for("wal"), micros_for("wal_group_8")) {
-        if b_gc8 > 0.0 {
-            let measure = |gc: u32| {
-                best3(|| {
-                    let t0 = std::time::Instant::now();
-                    let _ = run_wal_workload(gc, Some(&path));
-                    t0.elapsed().as_micros() as f64
-                })
-                .max(1.0)
-            };
-            out.push(
-                SUITE,
-                "group_commit_amortisation".into(),
-                CheckKind::Floor,
-                tol,
-                b_gc1 / b_gc8,
-                measure(1) / measure(8),
-            );
-        }
-    }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// P1 suite: the host-independent critical-path speedup per jobs level
 /// must not fall below baseline by more than the tolerance. Wall micros
 /// are *not* gated — they depend on the host's spare cores.
-fn gate_parallel(base: &Json, tol: f64, out: &mut GateOutcome) {
+fn gate_parallel(base: &Json, out: &mut GateOutcome) {
     const SUITE: &str = "parallel";
     let Some(rows) = base.get("runs").and_then(Json::as_arr) else {
         out.missing
@@ -834,369 +468,119 @@ fn gate_parallel(base: &Json, tol: f64, out: &mut GateOutcome) {
             SUITE,
             format!("jobs={}/critical_path_speedup", jobs),
             CheckKind::Floor,
-            tol,
             b,
             current,
         );
     }
 }
 
-/// Span suite: the enabled / perfetto overhead permilles (both the
-/// committed values and fresh measurements) must stay under their fixed
-/// budget ceilings, and the disabled fast path under the absolute
-/// 50‰-of-a-cycle ceiling (the <5% disabled-cost claim). Absolute micros
-/// are recorded in the baseline for reference but never gated.
-fn gate_span(base: &Json, tol: f64, out: &mut GateOutcome) {
-    const SUITE: &str = "span";
+/// Overhead matrix ([`overhead::ROWS`]): every row the baseline names is
+/// re-run and checked by its [`Bound`] — WAL record/write/fsync counts
+/// exact, and permille ceilings on the committed and the freshly measured
+/// overhead against the row's base (a disabled fast path counts as a
+/// permille of one base cycle). The group-commit *amortisation multiple*
+/// (`wal` micros over `wal_group_8` micros) is gated as a floor — the
+/// host-independent form of the batching claim. Ratios against `no_wal`
+/// are deliberately not gated: fsync latency varies with host state and
+/// only appears in the numerator there, so it cannot cancel. Absolute
+/// micros are recorded for reference but never gated.
+fn gate_overhead(base: &Json, out: &mut GateOutcome) {
     let Some(rows) = base.as_arr() else {
         out.missing
-            .push("BENCH_span_overhead.json (expected an array)".into());
+            .push("BENCH_overhead.json (expected an array)".into());
         return;
     };
-    let mut disabled_micros = None;
+    // Fresh micros per timed row, measured once and shared by every check
+    // that needs them.
+    let mut fresh: Vec<(&str, f64)> = Vec::new();
+    let mut fresh_micros = |config: &'static str| -> f64 {
+        if let Some(&(_, m)) = fresh.iter().find(|(c, _)| *c == config) {
+            return m;
+        }
+        let Some(Kind::Run(group_commit, layer)) = overhead::row(config).map(|r| r.kind) else {
+            panic!("overhead row {} is not a timed run", config);
+        };
+        let m = best3(|| overhead::time_run(group_commit, layer).0 as f64).max(1.0);
+        fresh.push((config, m));
+        m
+    };
+    let micros_for = |config: &str| {
+        let row = rows
+            .iter()
+            .find(|r| r.get("config").and_then(Json::as_str) == Some(config));
+        row.and_then(|r| r.get("micros")).and_then(Json::as_f64)
+    };
+    // Measured before any ceiling row: which runs precede the fresh span
+    // and flight permilles changes how often they fail (EXPERIMENTS.md,
+    // "Overhead matrix").
+    if let (Some(b_gc1), Some(b_gc8)) = (micros_for("wal"), micros_for("wal_group_8")) {
+        if b_gc8 > 0.0 {
+            let current = fresh_micros("wal") / fresh_micros("wal_group_8");
+            out.push(
+                "wal",
+                "group_commit_amortisation".into(),
+                CheckKind::Floor,
+                b_gc1 / b_gc8,
+                current,
+            );
+        }
+    }
     for row in rows {
         let Some(config) = row.get("config").and_then(Json::as_str) else {
+            out.missing
+                .push("BENCH_overhead.json (row missing config)".into());
             continue;
         };
-        if config == "disabled_fastpath" {
-            if let Some(b) = row.get("permille_of_cycle").and_then(Json::as_f64) {
-                // Both the committed number and a fresh measurement must
-                // clear the bar.
-                out.push(
-                    SUITE,
-                    "disabled_fastpath/permille_of_cycle(baseline)".into(),
-                    CheckKind::AbsoluteCeiling,
-                    tol,
-                    SPAN_DISABLED_PERMILLE_CEILING,
-                    b,
-                );
-                let cycle_micros = disabled_micros
-                    .unwrap_or_else(|| best3(|| run_span_overhead(SpanConfig::Disabled) as f64));
-                let fresh = span_disabled_permille_of_cycle(cycle_micros);
-                out.push(
-                    SUITE,
-                    "disabled_fastpath/permille_of_cycle(fresh)".into(),
-                    CheckKind::AbsoluteCeiling,
-                    tol,
-                    SPAN_DISABLED_PERMILLE_CEILING,
-                    fresh,
-                );
-            }
-            continue;
-        }
-        let Some(mode) = span_config_from_label(config) else {
-            out.missing.push(format!(
-                "BENCH_span_overhead.json (unknown config '{}')",
-                config
-            ));
+        let Some(spec) = overhead::row(config) else {
+            out.missing
+                .push(format!("BENCH_overhead.json (unknown config '{}')", config));
             continue;
         };
-        let ceiling = match mode {
-            SpanConfig::Disabled => {
-                disabled_micros = Some(best3(|| run_span_overhead(SpanConfig::Disabled) as f64));
+        let tag = |m: &str| format!("{}/{}", spec.config, m);
+        let (permille, fresh) = match (spec.bound, spec.kind) {
+            (Bound::Ceiling(permille), _) => (permille, true),
+            (Bound::RecordedCeiling(permille), _) => (permille, false),
+            (Bound::Counters, Kind::Run(group_commit, layer)) => {
+                let (_, stats) = overhead::time_run(group_commit, layer);
+                for (metric, current) in [
+                    ("records", stats.records),
+                    ("writes", stats.writes),
+                    ("fsyncs", stats.fsyncs),
+                ] {
+                    if let Some(b) = row.get(metric).and_then(Json::as_f64) {
+                        out.push(spec.suite, tag(metric), CheckKind::Exact, b, current as f64);
+                    }
+                }
                 continue;
             }
-            SpanConfig::Enabled => SPAN_ENABLED_PERMILLE_CEILING,
-            SpanConfig::Perfetto => SPAN_PERFETTO_PERMILLE_CEILING,
+            _ => continue,
         };
-        if let Some(b) = row.get("overhead_permille").and_then(Json::as_f64) {
-            out.push(
-                SUITE,
-                format!("{}/overhead_permille(baseline)", config),
-                CheckKind::AbsoluteCeiling,
-                tol,
-                ceiling,
-                b,
-            );
-            let disabled = disabled_micros
-                .get_or_insert_with(|| best3(|| run_span_overhead(SpanConfig::Disabled) as f64));
-            let fresh_micros = best3(|| run_span_overhead(mode) as f64);
-            let fresh_pm = (fresh_micros - *disabled).max(0.0) * 1000.0 / disabled.max(1.0);
-            out.push(
-                SUITE,
-                format!("{}/overhead_permille(fresh)", config),
-                CheckKind::AbsoluteCeiling,
-                tol,
-                ceiling,
-                fresh_pm,
-            );
-        }
-    }
-}
-
-// ============================================================ span bench
-
-/// Telemetry configuration for the span-overhead workload.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SpanConfig {
-    /// Spans never enabled — the baseline; each instrumentation site costs
-    /// one untaken `Option` branch.
-    Disabled,
-    /// Spans recording in memory.
-    Enabled,
-    /// Spans recording, then rendered to Chrome trace-event JSON and
-    /// written to a temp file (the `--trace-perfetto` path).
-    Perfetto,
-}
-
-fn span_config_from_label(label: &str) -> Option<SpanConfig> {
-    match label {
-        "disabled" => Some(SpanConfig::Disabled),
-        "enabled" => Some(SpanConfig::Enabled),
-        "perfetto" => Some(SpanConfig::Perfetto),
-        _ => None,
-    }
-}
-
-/// Ceiling for the disabled fast path: 50‰ (5%) of one recognise–act
-/// cycle, the DESIGN.md §5.8 claim.
-pub const SPAN_DISABLED_PERMILLE_CEILING: f64 = 50.0;
-
-/// Budget ceiling for *enabled* span recording: 400‰ (40%) overhead on
-/// the WAL counting workload. Measured ≈73‰; the headroom absorbs host
-/// noise while still catching a structural regression (e.g. accidental
-/// lock contention doubling the recording cost).
-pub const SPAN_ENABLED_PERMILLE_CEILING: f64 = 400.0;
-
-/// Budget ceiling for recording + Chrome trace-event render + file
-/// write: 800‰ (80%). Measured ≈228‰.
-pub const SPAN_PERFETTO_PERMILLE_CEILING: f64 = 800.0;
-
-/// Instrumentation sites crossed per engine cycle: cycle + resolve + rhs +
-/// wal_commit spans plus a conservative allowance for per-action match
-/// spans. Used to convert per-call fast-path nanos into a share of a
-/// cycle.
-pub const SPAN_SITES_PER_CYCLE: f64 = 8.0;
-
-/// One run of the WAL counting workload (group-commit 8) under the given
-/// span configuration; returns wall micros.
-pub fn run_span_overhead(config: SpanConfig) -> u128 {
-    let wal = std::env::temp_dir().join(format!("sorete-span-bench-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&wal);
-    let t0 = std::time::Instant::now();
-    let mut ps = {
-        use sorete_base::Value;
-        let mut ps = sorete_core::ProductionSystem::new(MatcherKind::Rete);
-        ps.load_program(WAL_WORKLOAD).unwrap();
-        if config != SpanConfig::Disabled {
-            ps.enable_spans();
-        }
-        ps.attach_wal(&wal, sorete_reldb::WalOptions { group_commit: 8 })
-            .unwrap();
-        ps.make_str("c", &[("n", Value::Int(0))]).unwrap();
-        ps.make_str("lim", &[("max", Value::Int(WAL_WORKLOAD_FIRINGS))])
-            .unwrap();
-        let outcome = ps.run(None);
-        assert_eq!(outcome.fired, WAL_WORKLOAD_FIRINGS as u64);
-        ps
-    };
-    if config == SpanConfig::Perfetto {
-        let spans = ps.take_spans();
-        let json = sorete_base::render_perfetto(&spans);
-        let trace = std::env::temp_dir().join(format!(
-            "sorete-span-bench-{}.perfetto.json",
-            std::process::id()
-        ));
-        std::fs::write(&trace, json).unwrap();
-        let _ = std::fs::remove_file(&trace);
-    }
-    let micros = t0.elapsed().as_micros();
-    let _ = std::fs::remove_file(&wal);
-    micros
-}
-
-/// Measure the disabled fast path directly: per-call nanos for a
-/// `begin()`/`end()` pair on a never-enabled [`sorete_base::Spans`]
-/// handle, amortised over 200k iterations.
-pub fn span_disabled_fastpath_nanos() -> f64 {
-    let spans = sorete_base::Spans::null();
-    const ITERS: u32 = 200_000;
-    let t0 = std::time::Instant::now();
-    for i in 0..ITERS {
-        let sp = spans.begin();
-        std::hint::black_box(&sp);
-        spans.end(
-            std::hint::black_box(sp),
-            sorete_base::span::category::MATCH,
-            0,
-            Vec::new,
+        let metric = match spec.kind {
+            Kind::Run(..) => "overhead_permille",
+            Kind::FastPath(..) => "permille_of_cycle",
+        };
+        let Some(b) = row.get(metric).and_then(Json::as_f64) else {
+            continue;
+        };
+        out.push(
+            spec.suite,
+            tag(&format!("{metric}(baseline)")),
+            CheckKind::AbsoluteCeiling,
+            permille,
+            b,
         );
-        std::hint::black_box(i);
-    }
-    t0.elapsed().as_nanos() as f64 / ITERS as f64
-}
-
-/// The disabled fast path as a permille of one recognise–act cycle of the
-/// span workload, given that workload's per-run wall micros.
-pub fn span_disabled_permille_of_cycle(workload_micros: f64) -> f64 {
-    let cycle_nanos = workload_micros * 1000.0 / WAL_WORKLOAD_FIRINGS as f64;
-    span_disabled_fastpath_nanos() * SPAN_SITES_PER_CYCLE * 1000.0 / cycle_nanos.max(1.0)
-}
-
-// ========================================================== flight bench
-
-/// Flight-recorder configuration for the black-box overhead workload.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlightConfig {
-    /// Recorder off (`--flight-recorder off`) — each record site is one
-    /// untaken branch; the baseline.
-    Off,
-    /// The always-on default: logical events, closed spans, and per-cycle
-    /// records stream into the fixed-capacity rings.
-    Recording,
-}
-
-fn flight_config_from_label(label: &str) -> Option<FlightConfig> {
-    match label {
-        "off" => Some(FlightConfig::Off),
-        "recording" => Some(FlightConfig::Recording),
-        _ => None,
-    }
-}
-
-/// Ceiling for the off fast path: 50‰ (5%) of one recognise–act cycle —
-/// same bar the span layer holds (DESIGN.md §5.9).
-pub const FLIGHT_OFF_PERMILLE_CEILING: f64 = 50.0;
-
-/// Budget ceiling for the always-on recorder: 300‰ (30%) overhead on the
-/// WAL counting workload. Measured low-double-digit permille; the
-/// headroom absorbs host noise while catching structural regressions
-/// (e.g. the encoder starting to allocate per event).
-pub const FLIGHT_RECORDING_PERMILLE_CEILING: f64 = 300.0;
-
-/// Record sites crossed per engine cycle with the recorder on: the cycle
-/// record itself plus a conservative allowance for logical trace events
-/// (asserts/retracts, CS deltas, the firing).
-pub const FLIGHT_SITES_PER_CYCLE: f64 = 8.0;
-
-/// One run of the WAL counting workload (group-commit 8) with the flight
-/// recorder on (the default) or forced off; returns wall micros.
-pub fn run_flight_overhead(config: FlightConfig) -> u128 {
-    let wal = std::env::temp_dir().join(format!("sorete-flight-bench-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&wal);
-    let t0 = std::time::Instant::now();
-    {
-        use sorete_base::Value;
-        let mut ps = sorete_core::ProductionSystem::new(MatcherKind::Rete);
-        if config == FlightConfig::Off {
-            ps.set_flight_recorder(0);
-        }
-        ps.load_program(WAL_WORKLOAD).unwrap();
-        ps.attach_wal(&wal, sorete_reldb::WalOptions { group_commit: 8 })
-            .unwrap();
-        ps.make_str("c", &[("n", Value::Int(0))]).unwrap();
-        ps.make_str("lim", &[("max", Value::Int(WAL_WORKLOAD_FIRINGS))])
-            .unwrap();
-        let outcome = ps.run(None);
-        assert_eq!(outcome.fired, WAL_WORKLOAD_FIRINGS as u64);
-    }
-    let micros = t0.elapsed().as_micros();
-    let _ = std::fs::remove_file(&wal);
-    micros
-}
-
-/// Measure the off fast path directly: per-call nanos for offering a
-/// cycle record to a disabled [`sorete_base::flight::Flight`] handle
-/// (one branch, no encode), amortised over 200k iterations.
-pub fn flight_off_fastpath_nanos() -> f64 {
-    use sorete_base::flight::{CycleRecord, Flight};
-    let flight = Flight::off();
-    let record = CycleRecord {
-        cycle: 1,
-        rule: sorete_base::Symbol::new("bench"),
-        ok: true,
-        firings: 1,
-        wm_len: 2,
-        cs_len: 1,
-        nanos: 1_000,
-    };
-    const ITERS: u32 = 200_000;
-    let t0 = std::time::Instant::now();
-    for i in 0..ITERS {
-        flight.record_cycle(std::hint::black_box(&record));
-        std::hint::black_box(i);
-    }
-    t0.elapsed().as_nanos() as f64 / ITERS as f64
-}
-
-/// The off fast path as a permille of one recognise–act cycle of the
-/// flight workload, given that workload's per-run wall micros.
-pub fn flight_off_permille_of_cycle(workload_micros: f64) -> f64 {
-    let cycle_nanos = workload_micros * 1000.0 / WAL_WORKLOAD_FIRINGS as f64;
-    flight_off_fastpath_nanos() * FLIGHT_SITES_PER_CYCLE * 1000.0 / cycle_nanos.max(1.0)
-}
-
-/// Flight suite: the always-on recorder's overhead permille (committed
-/// and fresh) must stay under the fixed budget ceiling, and the off fast
-/// path under the absolute 50‰-of-a-cycle ceiling. Absolute micros are
-/// recorded for reference but never gated.
-fn gate_flight(base: &Json, tol: f64, out: &mut GateOutcome) {
-    const SUITE: &str = "flight";
-    let Some(rows) = base.as_arr() else {
-        out.missing
-            .push("BENCH_flight_recorder.json (expected an array)".into());
-        return;
-    };
-    let mut off_micros = None;
-    for row in rows {
-        let Some(config) = row.get("config").and_then(Json::as_str) else {
-            continue;
-        };
-        if config == "off_fastpath" {
-            if let Some(b) = row.get("permille_of_cycle").and_then(Json::as_f64) {
-                out.push(
-                    SUITE,
-                    "off_fastpath/permille_of_cycle(baseline)".into(),
-                    CheckKind::AbsoluteCeiling,
-                    tol,
-                    FLIGHT_OFF_PERMILLE_CEILING,
-                    b,
-                );
-                let cycle_micros = off_micros
-                    .unwrap_or_else(|| best3(|| run_flight_overhead(FlightConfig::Off) as f64));
-                let fresh = flight_off_permille_of_cycle(cycle_micros);
-                out.push(
-                    SUITE,
-                    "off_fastpath/permille_of_cycle(fresh)".into(),
-                    CheckKind::AbsoluteCeiling,
-                    tol,
-                    FLIGHT_OFF_PERMILLE_CEILING,
-                    fresh,
-                );
-            }
-            continue;
-        }
-        let Some(mode) = flight_config_from_label(config) else {
-            out.missing.push(format!(
-                "BENCH_flight_recorder.json (unknown config '{}')",
-                config
-            ));
-            continue;
-        };
-        if mode == FlightConfig::Off {
-            off_micros = Some(best3(|| run_flight_overhead(FlightConfig::Off) as f64));
-            continue;
-        }
-        if let Some(b) = row.get("overhead_permille").and_then(Json::as_f64) {
+        if fresh {
+            let base = fresh_micros(spec.base.expect("a ceiling row names its base"));
+            let current = match spec.kind {
+                Kind::Run(..) => (fresh_micros(spec.config) - base).max(0.0) * 1000.0 / base,
+                Kind::FastPath(probe, sites) => overhead::permille_of_cycle(probe(), sites, base),
+            };
             out.push(
-                SUITE,
-                format!("{}/overhead_permille(baseline)", config),
+                spec.suite,
+                tag(&format!("{metric}(fresh)")),
                 CheckKind::AbsoluteCeiling,
-                tol,
-                FLIGHT_RECORDING_PERMILLE_CEILING,
-                b,
-            );
-            let off = off_micros
-                .get_or_insert_with(|| best3(|| run_flight_overhead(FlightConfig::Off) as f64));
-            let fresh_micros = best3(|| run_flight_overhead(mode) as f64);
-            let fresh_pm = (fresh_micros - *off).max(0.0) * 1000.0 / off.max(1.0);
-            out.push(
-                SUITE,
-                format!("{}/overhead_permille(fresh)", config),
-                CheckKind::AbsoluteCeiling,
-                tol,
-                FLIGHT_RECORDING_PERMILLE_CEILING,
-                fresh_pm,
+                permille,
+                current,
             );
         }
     }
@@ -1249,78 +633,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_round_trips_the_baseline_shapes() {
-        let v = json::parse(
-            r#"{"workload": "P1 (8 rules, n=120)", "runs": [{"jobs": 1, "s": 1.0}, {"jobs": 2, "s": 1.9}]}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            v.get("workload").and_then(Json::as_str),
-            Some("P1 (8 rules, n=120)")
-        );
-        let runs = v.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[1].get("jobs").and_then(Json::as_u64), Some(2));
-        assert_eq!(runs[1].get("s").and_then(Json::as_f64), Some(1.9));
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(json::parse("{").is_err());
-        assert!(json::parse("[1,]").is_err());
-        assert!(json::parse("[] trailing").is_err());
-        assert!(json::parse(r#"{"a" 1}"#).is_err());
-    }
-
-    #[test]
-    fn json_decodes_escapes() {
-        let v = json::parse(r#""a\n\"b\"A""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\n\"b\"A"));
-    }
-
-    #[test]
     fn check_kinds_compare_as_documented() {
-        let mut out = GateOutcome::default();
-        out.push("t", "exact".into(), CheckKind::Exact, 0.25, 10.0, 10.0);
-        out.push(
-            "t",
-            "exact-drift".into(),
-            CheckKind::Exact,
-            0.25,
-            10.0,
-            11.0,
-        );
-        out.push(
-            "t",
-            "ceil-ok".into(),
-            CheckKind::Ceiling,
-            0.25,
-            100.0,
-            124.0,
-        );
-        out.push(
-            "t",
-            "ceil-fail".into(),
-            CheckKind::Ceiling,
-            0.25,
-            100.0,
-            126.0,
-        );
-        out.push("t", "floor-ok".into(), CheckKind::Floor, 0.25, 4.0, 3.1);
-        out.push("t", "floor-fail".into(), CheckKind::Floor, 0.25, 4.0, 2.9);
-        out.push(
-            "t",
-            "abs-ok".into(),
-            CheckKind::AbsoluteCeiling,
-            0.25,
-            50.0,
-            49.0,
-        );
+        let mut out = GateOutcome {
+            tolerance: 0.25,
+            ..GateOutcome::default()
+        };
+        out.push("t", "exact".into(), CheckKind::Exact, 10.0, 10.0);
+        out.push("t", "exact-drift".into(), CheckKind::Exact, 10.0, 11.0);
+        out.push("t", "ceil-ok".into(), CheckKind::Ceiling, 100.0, 124.0);
+        out.push("t", "ceil-fail".into(), CheckKind::Ceiling, 100.0, 126.0);
+        out.push("t", "floor-ok".into(), CheckKind::Floor, 4.0, 3.1);
+        out.push("t", "floor-fail".into(), CheckKind::Floor, 4.0, 2.9);
+        out.push("t", "abs-ok".into(), CheckKind::AbsoluteCeiling, 50.0, 49.0);
         out.push(
             "t",
             "abs-fail".into(),
             CheckKind::AbsoluteCeiling,
-            0.25,
             50.0,
             51.0,
         );
@@ -1336,15 +664,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let outcome = run_gate(&dir, 25);
         assert_eq!(outcome.exit_code(), EXIT_MISSING);
-        assert_eq!(outcome.missing.len(), 7);
+        assert_eq!(outcome.missing.len(), 5);
         assert!(outcome.checks.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disabled_fastpath_is_cheap() {
-        // A begin/end pair on a null handle is a couple of branches; even
-        // in debug builds it must stay far under a microsecond.
-        assert!(span_disabled_fastpath_nanos() < 1000.0);
     }
 }

@@ -10,6 +10,7 @@ use sorete_core::{MatcherKind, ProductionSystem};
 use sorete_dips::{parallel_cycle, CycleReport, DipsEngine, DipsMode};
 
 pub mod gate;
+pub mod overhead;
 
 /// One measured run of a production-system workload.
 #[derive(Clone, Debug, Default)]
@@ -427,6 +428,33 @@ pub fn run_parallel_match(jobs: usize, rules: usize, n: usize) -> (RunReport, Ve
     let rep = report_from(&ps, n, start.elapsed().as_micros());
     let busy = ps.pool_busy_nanos().unwrap_or_default();
     (rep, busy)
+}
+
+// ============================================================ counting loop
+
+/// The paper's counting loop: one rule that `modify`s a counter until it
+/// reaches a limit, so each firing retracts and re-asserts one WME and
+/// logs three WAL records. The overhead matrix ([`overhead`]) times every
+/// durability and instrumentation layer on it.
+pub const COUNT_PROGRAM: &str = "(literalize c n)
+(literalize lim max)
+(p count (c ^n <n>) (lim ^max > <n>) (modify 1 ^n (<n> + 1)))";
+
+/// Firings in one run of [`COUNT_PROGRAM`].
+pub const COUNT_FIRINGS: i64 = 200;
+
+/// Seed the counter and its limit into an engine that has
+/// [`COUNT_PROGRAM`] loaded, and run it to quiescence.
+pub fn run_count(ps: &mut ProductionSystem) {
+    ps.make_str("c", &[("n", Value::Int(0))]).unwrap();
+    ps.make_str("lim", &[("max", Value::Int(COUNT_FIRINGS))])
+        .unwrap();
+    let outcome = ps.run(None);
+    assert!(matches!(
+        outcome.reason,
+        sorete_core::StopReason::Quiescence
+    ));
+    assert_eq!(outcome.fired, COUNT_FIRINGS as u64);
 }
 
 // ================================================================ whole-program

@@ -2,10 +2,12 @@
 //! the injected-regression path.
 //!
 //! The gate is baseline-driven — it re-runs exactly the rows the JSON
-//! describes — so the tests keep the doctored baselines tiny (one small
-//! `join_index` row) and the re-run cost negligible.
+//! describes — so the tests keep the doctored baselines tiny (a small
+//! `join_index` row or one overhead-matrix row) and the re-run cost
+//! negligible.
 
-use std::path::PathBuf;
+use sorete_bench::overhead::Layer;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> &'static str {
@@ -17,6 +19,19 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Run the gate over `dir` at `tolerance` percent: exit code and stdout.
+fn gate(dir: &Path, tolerance: &str) -> (Option<i32>, String) {
+    let out = Command::new(bin())
+        .args(["gate", "--tolerance", tolerance, "--baseline-dir"])
+        .arg(dir)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
 }
 
 /// A truthful one-row join_index baseline, recorded by running the suite
@@ -38,16 +53,8 @@ fn honest_join_row() -> String {
 #[test]
 fn empty_baseline_dir_exits_missing() {
     let dir = temp_dir("missing");
-    let out = Command::new(bin())
-        .args(["gate", "--baseline-dir", dir.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    let (code, stdout) = gate(&dir, "10");
+    assert_eq!(code, Some(4), "stdout: {}", stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -82,20 +89,40 @@ fn injected_counter_regression_exits_5() {
         ),
     )
     .unwrap();
-    let out = Command::new(bin())
-        .args([
-            "gate",
-            "--tolerance",
-            "10000",
-            "--baseline-dir",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(5), "stdout: {}", stdout);
+    let (code, stdout) = gate(&dir, "10000");
+    assert_eq!(code, Some(5), "stdout: {}", stdout);
     assert!(stdout.contains("join_tests"), "stdout: {}", stdout);
     assert!(stdout.contains("FAIL"), "stdout: {}", stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overhead_counter_off_by_one_exits_5() {
+    let dir = temp_dir("overhead");
+    // One overhead-matrix row whose fsync count is one more than the
+    // build performs: the exact counter check must fail at any tolerance.
+    let (micros, stats) = sorete_bench::overhead::time_run(Some(8), Layer::Plain);
+    std::fs::write(
+        dir.join("BENCH_overhead.json"),
+        format!(
+            "[\n  {{\"suite\": \"wal\", \"config\": \"wal_group_8\", \"micros\": {}, \
+             \"records\": {}, \"writes\": {}, \"fsyncs\": {}}}\n]\n",
+            micros,
+            stats.records,
+            stats.writes,
+            stats.fsyncs + 1
+        ),
+    )
+    .unwrap();
+    let (code, stdout) = gate(&dir, "10000");
+    assert_eq!(code, Some(5), "stdout: {}", stdout);
+    let failed: Vec<&str> = stdout.lines().filter(|l| l.ends_with("FAIL")).collect();
+    assert_eq!(failed.len(), 1, "stdout: {}", stdout);
+    assert!(
+        failed[0].contains("wal_group_8/fsyncs"),
+        "stdout: {}",
+        stdout
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -123,18 +150,8 @@ fn injected_timing_regression_exits_5() {
         ),
     )
     .unwrap();
-    let out = Command::new(bin())
-        .args([
-            "gate",
-            "--tolerance",
-            "25",
-            "--baseline-dir",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(5), "stdout: {}", stdout);
+    let (code, stdout) = gate(&dir, "25");
+    assert_eq!(code, Some(5), "stdout: {}", stdout);
     assert!(stdout.contains("index_speedup"), "stdout: {}", stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -143,20 +160,10 @@ fn injected_timing_regression_exits_5() {
 fn honest_baseline_passes_its_suite() {
     let dir = temp_dir("honest");
     std::fs::write(dir.join("BENCH_join_index.json"), honest_join_row()).unwrap();
-    let out = Command::new(bin())
-        .args([
-            "gate",
-            "--tolerance",
-            "25",
-            "--baseline-dir",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (code, stdout) = gate(&dir, "25");
     // Other baseline files are absent, so the run exits 4 (missing), not
     // 5 — proving the join_index suite itself found no regression.
-    assert_eq!(out.status.code(), Some(4), "stdout: {}", stdout);
+    assert_eq!(code, Some(4), "stdout: {}", stdout);
     assert!(!stdout.contains("FAIL"), "stdout: {}", stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -236,19 +236,6 @@ pub(crate) fn render_wme(w: &Wme) -> String {
     s
 }
 
-/// The legacy string form of an event, for [`ProductionSystem::take_trace`].
-/// Events without a legacy form render to nothing.
-fn legacy_trace_line(ev: &TraceEvent) -> Option<String> {
-    match ev {
-        TraceEvent::Fire { rule, rows, .. } => Some(format!("FIRE {} {:?}", rule, rows)),
-        TraceEvent::SkipAction { action, tag } => {
-            Some(format!("SKIP {} {} (dead time tag)", action, tag))
-        }
-        TraceEvent::Rollback { rule, error } => Some(format!("ROLLBACK {} ({})", rule, error)),
-        _ => None,
-    }
-}
-
 /// One inverse action in the firing's undo log. Replayed in reverse on
 /// rollback, through the matcher, exactly like a forward WM transaction
 /// (mirrors the write-set of `reldb`'s optimistic transactions).
@@ -525,13 +512,11 @@ pub struct ProductionSystem {
     halted: bool,
     stats: RunStats,
     output: Vec<String>,
-    /// Combined tracer (user sinks + legacy shim + event log); the matcher
+    /// Combined tracer (user sinks + event log); the matcher
     /// holds a clone for its physical events.
     tracer: Tracer,
     /// Sinks installed via [`Self::add_trace_sink`] (e.g. a `JsonlSink`).
     user_sinks: Vec<SharedSink>,
-    /// Backing store of the legacy string trace ([`Self::take_trace`]).
-    legacy: Option<Arc<Mutex<CollectSink>>>,
     /// In-memory event log serving `explain` ([`Self::trace_events`]).
     event_log: Option<Arc<Mutex<CollectSink>>>,
     /// 1-based recognise–act cycle counter (0 = before any firing).
@@ -675,7 +660,6 @@ impl ProductionSystem {
             output: Vec::new(),
             tracer: Tracer::null(),
             user_sinks: Vec::new(),
-            legacy: None,
             event_log: None,
             cycle: 0,
             firing_rule: None,
@@ -925,19 +909,6 @@ impl ProductionSystem {
     /// [`FaultPlan::triggered`] to see whether it fired).
     pub fn take_fault(&mut self) -> Option<FaultPlan> {
         self.fault.take()
-    }
-
-    /// Enable firing traces (retrievable via [`Self::take_trace`]).
-    ///
-    /// This is a compatibility shim over the event stream: it installs an
-    /// internal [`CollectSink`] and [`Self::take_trace`] renders the
-    /// collected fire/skip/rollback events in the old string format.
-    pub fn set_tracing(&mut self, on: bool) {
-        if on == self.legacy.is_some() {
-            return;
-        }
-        self.legacy = on.then(|| Arc::new(Mutex::new(CollectSink::new())));
-        self.rebuild_tracer();
     }
 
     /// Attach a [`sorete_base::TraceSink`] to the engine's event stream
@@ -1346,9 +1317,6 @@ impl ProductionSystem {
 
     fn rebuild_tracer(&mut self) {
         let mut sinks: Vec<SharedSink> = self.user_sinks.clone();
-        if let Some(l) = &self.legacy {
-            sinks.push(l.clone() as SharedSink);
-        }
         if let Some(l) = &self.event_log {
             sinks.push(l.clone() as SharedSink);
         }
@@ -2674,17 +2642,6 @@ impl ProductionSystem {
     /// Accumulated `write` output (drained).
     pub fn take_output(&mut self) -> Vec<String> {
         std::mem::take(&mut self.output)
-    }
-
-    /// Firing trace (drained). Rendered from the event stream collected
-    /// since [`Self::set_tracing`] was enabled, in the legacy string
-    /// format (`FIRE …`, `SKIP …`, `ROLLBACK …`).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        let Some(legacy) = &self.legacy else {
-            return Vec::new();
-        };
-        let events = legacy.lock().unwrap().take();
-        events.iter().filter_map(legacy_trace_line).collect()
     }
 
     /// Engine counters.

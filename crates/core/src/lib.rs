@@ -68,7 +68,7 @@ pub use wm::WorkingMemory;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sorete_base::Value;
+    use sorete_base::{Symbol, Value};
 
     fn engine(kind: MatcherKind, program: &str) -> ProductionSystem {
         let mut ps = ProductionSystem::new(kind);
@@ -391,13 +391,18 @@ mod tests {
             MatcherKind::Rete,
             "(literalize a x)(p fire-me (a ^x 1) (remove 1))",
         );
-        ps.set_tracing(true);
+        ps.set_event_log(true);
         ps.make_str("a", &[("x", Value::Int(1))]).unwrap();
         ps.run(None);
-        let trace = ps.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert!(trace[0].starts_with("FIRE fire-me"), "{:?}", trace);
-        assert!(ps.take_trace().is_empty(), "trace drained");
+        let fired: Vec<_> = ps
+            .trace_events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                sorete_base::TraceEvent::Fire { rule, .. } => Some(rule),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, [Symbol::new("fire-me")]);
     }
 
     #[test]

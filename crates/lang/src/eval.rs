@@ -83,10 +83,17 @@ pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value, EvalError> {
                 BinOp::Mod => lv.modulo(&rv),
             };
             result.ok_or_else(|| {
-                EvalError::new(format!(
-                    "arithmetic on non-numeric values {} and {}",
-                    lv, rv
-                ))
+                if matches!(op, BinOp::Div | BinOp::Mod)
+                    && lv.as_f64().is_some()
+                    && rv.as_f64() == Some(0.0)
+                {
+                    EvalError::new("division by zero")
+                } else {
+                    EvalError::new(format!(
+                        "arithmetic on non-numeric values {} and {}",
+                        lv, rv
+                    ))
+                }
             })
         }
         Expr::Cmp(pred, l, r) => {
@@ -189,12 +196,15 @@ mod tests {
             Box::new(Expr::Const(Value::Int(2))),
         );
         assert!(eval(&bad, &env(&[])).is_err());
-        let div0 = Expr::Bin(
-            BinOp::Div,
-            Box::new(Expr::Const(Value::Int(1))),
-            Box::new(Expr::Const(Value::Int(0))),
-        );
-        assert!(eval(&div0, &env(&[])).is_err());
+        for op in [BinOp::Div, BinOp::Mod] {
+            let div0 = Expr::Bin(
+                op,
+                Box::new(Expr::Const(Value::Int(1))),
+                Box::new(Expr::Const(Value::Int(0))),
+            );
+            let err = eval(&div0, &env(&[])).unwrap_err();
+            assert!(err.to_string().contains("division by zero"), "{}", err);
+        }
     }
 
     #[test]

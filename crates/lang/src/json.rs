@@ -1,10 +1,11 @@
-//! JSON ingestion for the server protocol: a minimal value type, a
+//! The workspace's one JSON reader: a minimal value type, a
 //! recursive-descent parser, a serializer, and the fact ↔ JSON codec that
-//! maps wire objects onto working-memory elements.
+//! maps wire objects onto working-memory elements. The server protocol,
+//! the bench gate's `BENCH_*.json` baselines and the CLI tests' Perfetto
+//! schema check all read through it.
 //!
-//! The workspace has no serde; requests and responses are small and
-//! machine-written, so a hand-rolled reader in the style of the rest of
-//! the tree (cf. the bench gate's baseline reader) is the right size.
+//! The workspace has no serde; the documents are small and
+//! machine-written, so a hand-rolled reader is the right size.
 //! Integers are kept exact (`i64`) rather than collapsed to `f64`,
 //! because WME time tags and slot values round-trip through this codec.
 //!
@@ -15,7 +16,7 @@
 //!   non-integral numbers [`Value::Float`], `null` becomes [`Value::Nil`];
 //! - rendering a WME adds its `"tag"` so clients can retract by tag.
 
-use sorete_base::{Symbol, Value, Wme};
+use sorete_base::{push_json_string, Symbol, Value, Wme};
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Integer-syntax numbers stay exact.
@@ -128,7 +129,7 @@ impl Json {
             // JSON has no NaN/Inf; degrade to null rather than emit
             // an unparseable document.
             Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => write_json_string(out, s),
+            Json::Str(s) => push_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -145,7 +146,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(out, k);
+                    push_json_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -153,25 +154,6 @@ impl Json {
             }
         }
     }
-}
-
-/// Append a JSON string literal (quoted, escaped) to `out`.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse a complete JSON document; trailing garbage is an error.

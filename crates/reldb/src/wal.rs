@@ -51,8 +51,8 @@
 //! [`WalOptions::group_commit`] batches fsyncs: `1` syncs at every commit
 //! point (no committed work is ever lost); `n > 1` syncs every `n` commit
 //! points, trading a bounded window of recent commits for fewer fsyncs —
-//! the classic group-commit throughput lever measured by the
-//! `wal_overhead` bench. A client that acknowledges work itself can open
+//! the classic group-commit throughput lever measured by the `wal` rows
+//! of the `overhead` bench. A client that acknowledges work itself can open
 //! the window past any request and call [`Wal::sync`] right before each
 //! acknowledgement: the acknowledgement becomes the durability point, a
 //! request costs one fsync however many commit points it appended, and a

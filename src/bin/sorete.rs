@@ -92,7 +92,7 @@ use sorete::core::{
     SupervisorConfig,
 };
 use sorete::reldb::WalOptions;
-use sorete_base::{JsonlSink, NetProfile, SnapshotWriter, Symbol, Value};
+use sorete_base::{JsonlSink, NetProfile, SnapshotWriter, Symbol, TraceEvent, TraceSink, Value};
 use sorete_lang::token::{tokenize, TokKind};
 use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
@@ -475,8 +475,30 @@ fn parse_facts(src: &str) -> Result<Vec<Fact>, String> {
     Ok(facts)
 }
 
+/// `--trace` lines rendered since the last [`flush_output`].
+static TRACE_LINES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// The `--trace` sink: renders each firing, dead-tag skip and rolled-back
+/// firing as one line for [`flush_output`] to print ahead of the chunk's
+/// `write` output.
+struct TraceLines;
+
+impl TraceSink for TraceLines {
+    fn emit(&mut self, ev: &TraceEvent) {
+        let line = match ev {
+            TraceEvent::Fire { rule, rows, .. } => format!("FIRE {} {:?}", rule, rows),
+            TraceEvent::SkipAction { action, tag } => {
+                format!("SKIP {} {} (dead time tag)", action, tag)
+            }
+            TraceEvent::Rollback { rule, error } => format!("ROLLBACK {} ({})", rule, error),
+            _ => return,
+        };
+        TRACE_LINES.lock().unwrap().push(line);
+    }
+}
+
 fn flush_output(ps: &mut ProductionSystem) {
-    for line in ps.take_trace() {
+    for line in std::mem::take(&mut *TRACE_LINES.lock().unwrap()) {
         println!("; {}", line);
     }
     for line in ps.take_output() {
@@ -975,7 +997,9 @@ fn run_loaded(ps: &mut ProductionSystem, opts: &Options) -> Result<(), Failure> 
     if let Some(policy) = opts.recovery {
         ps.set_recovery_policy(policy);
     }
-    ps.set_tracing(opts.trace);
+    if opts.trace {
+        ps.add_trace_sink(Arc::new(Mutex::new(TraceLines)));
+    }
     if let Some(path) = &opts.trace_json {
         let sink = JsonlSink::create(path).map_err(|e| (EXIT_USAGE, format!("{}: {}", path, e)))?;
         ps.add_trace_sink(Arc::new(Mutex::new(sink)));

@@ -288,6 +288,56 @@ fn reports_parse_errors_with_file_name() {
     assert!(stderr.contains("bad.ops"), "{}", stderr);
 }
 
+/// `--trace` prints each firing, dead-tag skip and rolled-back firing as a
+/// `; `-prefixed line ahead of the chunk's `write` output. The lines are
+/// pinned byte for byte.
+#[test]
+fn trace_flag_prints_fire_skip_and_rollback_lines() {
+    let dir = cli_dir("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = dir.join("trace.ops");
+    let wm = dir.join("trace.wm");
+    std::fs::write(
+        &prog,
+        "(literalize item n)
+(literalize bad x)
+(p dup (item ^n <n>) --> (remove 1) (remove 1) (write done <n>))
+(p boom (bad ^x <x>) --> (modify 1 ^x (<x> * foo)))",
+    )
+    .unwrap();
+    std::fs::write(&wm, "(item ^n 1)\n(item ^n 2)\n(bad ^x 2)\n").unwrap();
+    let out = Command::new(bin())
+        .args([
+            "--trace",
+            "--recovery",
+            "skip",
+            "--crash-dir",
+            dir.to_str().unwrap(),
+            "--wm",
+            wm.to_str().unwrap(),
+            prog.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "; FIRE boom [[3]]
+; ROLLBACK boom (evaluation error: arithmetic on non-numeric values 2 and foo)
+; FIRE dup [[2]]
+; SKIP remove 2 (dead time tag)
+; FIRE dup [[1]]
+; SKIP remove 1 (dead time tag)
+done 2
+done 1
+"
+    );
+}
+
 #[test]
 fn repl_session() {
     let mut child = Command::new(bin())
@@ -538,6 +588,8 @@ fn metrics_jsonl_flushes_on_error_exit() {
         .args([
             "--metrics-json",
             metrics.to_str().unwrap(),
+            "--crash-dir",
+            dir.to_str().unwrap(),
             "--wm",
             facts.to_str().unwrap(),
             prog.to_str().unwrap(),
@@ -725,6 +777,11 @@ fn cli_dir(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Where the poison runs' crash bundles go, so none lands in the checkout.
+fn crash_dir() -> String {
+    cli_dir("crash").to_str().unwrap().to_string()
+}
+
 fn write_poison_fixture() -> (String, String) {
     let prog = cli_dir("poison.ops");
     let wm = cli_dir("poison.wm");
@@ -750,7 +807,7 @@ fn exit_codes_are_typed() {
     let (prog, wm) = write_poison_fixture();
     // 3: the run stopped on an error.
     let out = Command::new(bin())
-        .args(["--wm", &wm, &prog])
+        .args(["--crash-dir", &crash_dir(), "--wm", &wm, &prog])
         .output()
         .unwrap();
     assert_eq!(
@@ -767,7 +824,15 @@ fn exit_codes_are_typed() {
 
     // 4: a hard resource budget ended the run.
     let out = Command::new(bin())
-        .args(["--hard-mem", "1", "--wm", &wm, &prog])
+        .args([
+            "--hard-mem",
+            "1",
+            "--crash-dir",
+            &crash_dir(),
+            "--wm",
+            &wm,
+            &prog,
+        ])
         .output()
         .unwrap();
     assert_eq!(
@@ -804,6 +869,8 @@ fn exit_codes_are_typed() {
             "rollback",
             "--quarantine-after",
             "2",
+            "--crash-dir",
+            &crash_dir(),
             "--wm",
             &wm,
             &prog,
@@ -988,7 +1055,7 @@ fn fsck_validates_wal_and_checkpoint_pairing() {
 fn repl_quarantine_and_readmit() {
     let (prog, wm) = write_poison_fixture();
     let mut child = Command::new(bin())
-        .args(["--repl", "--wm", &wm, &prog])
+        .args(["--repl", "--crash-dir", &crash_dir(), "--wm", &wm, &prog])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -1027,7 +1094,7 @@ fn repl_quarantine_and_readmit() {
 // ---------------------------------------------------------------------------
 // Span layer: Perfetto export, span-stats, and the REPL `spans` command
 
-use sorete_bench::gate::json::{self, Json};
+use sorete_lang::json::{self, Json};
 
 /// Write the marking-scheme sweep fixture: many per-item cycles so the
 /// trace has a real run → cycle → resolve/rhs structure.

@@ -26,6 +26,7 @@ const PROGRAM: &str = "
 fn loaded(kind: MatcherKind) -> ProductionSystem {
     let mut ps = ProductionSystem::new(kind);
     ps.load_program(PROGRAM).unwrap();
+    ps.set_crash_dir(std::env::temp_dir().join("sorete-metrics-it"));
     ps
 }
 
@@ -274,6 +275,7 @@ fn metrics_stream_flushes_on_rollback_and_drop() {
         )
         .unwrap();
         ps.set_recovery_policy(RecoveryPolicy::Rollback);
+        ps.set_crash_dir(&dir);
         ps.set_metrics_stream(SnapshotWriter::create(&path).unwrap());
         ps.make_str("item", &[("s", Value::sym("go"))]).unwrap();
         let outcome = ps.run(None);

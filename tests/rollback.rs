@@ -13,15 +13,22 @@ use sorete::core::{
     CoreError, FaultPlan, GuardViolation, MatcherKind, ProductionSystem, RecoveryPolicy, RunGuards,
     StopReason,
 };
-use sorete_base::Value;
+use sorete_base::{TraceEvent, Value};
 use std::time::Duration;
 
 const KINDS: [MatcherKind; 3] = [MatcherKind::Rete, MatcherKind::Treat, MatcherKind::Naive];
 
 const TEAMS_OPS: &str = include_str!("../programs/teams.ops");
 
-fn teams_engine(kind: MatcherKind) -> ProductionSystem {
+/// A fresh engine whose crash bundles go to a temp dir, not the checkout.
+fn new_engine(kind: MatcherKind) -> ProductionSystem {
     let mut ps = ProductionSystem::new(kind);
+    ps.set_crash_dir(std::env::temp_dir().join("sorete-rollback-it"));
+    ps
+}
+
+fn teams_engine(kind: MatcherKind) -> ProductionSystem {
+    let mut ps = new_engine(kind);
     ps.load_program(TEAMS_OPS).unwrap();
     for (name, team) in [
         ("Jack", "A"),
@@ -40,7 +47,7 @@ fn teams_engine(kind: MatcherKind) -> ProductionSystem {
 }
 
 fn payroll_engine(kind: MatcherKind) -> ProductionSystem {
-    let mut ps = ProductionSystem::new(kind);
+    let mut ps = new_engine(kind);
     ps.load_program(
         "(literalize dept id budget)
          (literalize emp name dept salary)
@@ -360,7 +367,7 @@ fn rollback_restores_output_and_halt_flag() {
 fn partial_modify_failure_is_rolled_back() {
     // `modify` with an undeclared attribute fails *after* its retract
     // half; rollback must resurrect the retracted WME.
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    let mut ps = new_engine(MatcherKind::Rete);
     ps.load_program(
         "(literalize item x)
          (p bad (item ^x <v>) --> (modify 1 ^bogus 2))",
@@ -411,7 +418,7 @@ fn abort_run_stops_with_the_error_and_no_rollback() {
 #[test]
 fn guards_stop_unbounded_wm_growth() {
     // `grow` fires on every seed WME and makes another: never quiesces.
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    let mut ps = new_engine(MatcherKind::Rete);
     ps.load_program(
         "(literalize seed n)
          (p grow (seed ^n 0) --> (make seed ^n 0))",
@@ -434,7 +441,7 @@ fn guards_stop_unbounded_wm_growth() {
 #[test]
 fn guards_stop_stagnant_modify_loop() {
     // `spin` modifies its own trigger forever: WM size never changes.
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    let mut ps = new_engine(MatcherKind::Rete);
     ps.load_program(
         "(literalize counter n)
          (p spin (counter ^n <n>) --> (modify 1 ^n (<n> + 1)))",
@@ -457,7 +464,7 @@ fn guards_stop_stagnant_modify_loop() {
 
 #[test]
 fn guards_enforce_wall_clock() {
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    let mut ps = new_engine(MatcherKind::Rete);
     ps.load_program(
         "(literalize counter n)
          (p spin (counter ^n <n>) --> (modify 1 ^n (<n> + 1)))",
@@ -478,22 +485,28 @@ fn guards_enforce_wall_clock() {
 #[test]
 fn dead_tag_actions_bump_skip_counter_and_trace() {
     // The second `remove 1` targets a tag the first already retracted.
-    let mut ps = ProductionSystem::new(MatcherKind::Rete);
+    let mut ps = new_engine(MatcherKind::Rete);
     ps.load_program(
         "(literalize item x)
          (p r (item ^x 1) --> (remove 1) (remove 1))",
     )
     .unwrap();
-    ps.set_tracing(true);
+    ps.set_event_log(true);
     ps.make_str("item", &[("x", Value::Int(1))]).unwrap();
     let out = ps.run(None);
     assert!(matches!(out.reason, StopReason::Quiescence));
     assert_eq!(ps.stats().skipped_actions, 1);
     assert_eq!(ps.stats().removes, 1);
-    let trace = ps.take_trace();
+    let trace = ps.trace_events();
     assert!(
-        trace.iter().any(|l| l.starts_with("SKIP remove")),
-        "missing SKIP trace line in {:?}",
+        trace.iter().any(|ev| matches!(
+            ev,
+            TraceEvent::SkipAction {
+                action: "remove",
+                ..
+            }
+        )),
+        "missing SKIP event in {:?}",
         trace
     );
 }

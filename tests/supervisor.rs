@@ -47,6 +47,7 @@ const POISON_PROG: &str = "
 
 fn counting_system(matcher: MatcherKind, prog: &str) -> ProductionSystem {
     let mut ps = ProductionSystem::new(matcher);
+    ps.set_crash_dir(tmp("crash"));
     ps.load_program(prog).unwrap();
     ps.assert_wme(
         Symbol::new("counter"),
